@@ -1,35 +1,37 @@
 """Append-only JSONL result cache with crash-safe resume.
 
-One file per orbifold.  Class records are written first, then a completion
-marker for the (n, k, q) key; resume trusts only marked keys, so a crash
-mid-key recomputes that key.  Lines that fail to parse are quarantined to a
-side file and their keys recomputed.
+One file per orbifold.  Each finished q is one append: its class records,
+then a completion marker for the key (n, k, q) under one survey
+configuration (exact_k, proxy_prime, second_prime).  Class records belong
+to the marker that closes their append, so records of a crashed append
+are never served, and neither are records computed under another
+configuration.  Lines written under another schema version are skipped
+(their keys recompute); lines that fail to parse are quarantined to a side
+file and their keys recomputed.  Records come back without the cache's
+own fields, exactly as they were appended.
 """
 
 import json
 import os
 
-from .errors import ParameterError
-
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+CONFIG_FIELDS = ("exact_k", "proxy_prime", "second_prime")
+DEFAULT_CONFIG = {"exact_k": False, "proxy_prime": 31991, "second_prime": None}
+_CACHE_FIELDS = ("schema", "kind")
 
 
 def cache_path(cache_dir: str, n: int, k: int) -> str:
     return os.path.join(cache_dir, f"twist_n{n}_k{k}.jsonl")
 
 
-def _marker(n, k, q, count):
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "q_done",
-        "n": n,
-        "k": k,
-        "q": q,
-        "classes": count,
-    }
+def _marker(n, k, q, count, config):
+    marker = {"schema": SCHEMA_VERSION, "kind": "q_done", "n": n, "k": k, "q": q}
+    marker["classes"] = count
+    marker.update((f, config[f]) for f in CONFIG_FIELDS)
+    return marker
 
 
-def append_q_records(path: str, n: int, k: int, q: int, records) -> None:
+def append_q_records(path: str, n: int, k: int, q: int, records, config=DEFAULT_CONFIG):
     """Write all class records for one q plus its completion marker in a
     single append (atomic at the line level)."""
     lines = []
@@ -38,7 +40,7 @@ def append_q_records(path: str, n: int, k: int, q: int, records) -> None:
         body["schema"] = SCHEMA_VERSION
         body["kind"] = "class"
         lines.append(json.dumps(body, sort_keys=True))
-    lines.append(json.dumps(_marker(n, k, q, len(records)), sort_keys=True))
+    lines.append(json.dumps(_marker(n, k, q, len(records), config), sort_keys=True))
     payload = "\n".join(lines) + "\n"
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "a", encoding="utf-8") as fh:
@@ -47,18 +49,19 @@ def append_q_records(path: str, n: int, k: int, q: int, records) -> None:
         os.fsync(fh.fileno())
 
 
-def read_cache(path: str):
-    """Returns (done: dict (n,k,q) -> class count, records: list, bad: int).
+def read_cache(path: str, config=DEFAULT_CONFIG):
+    """Returns (done: dict (n,k,q) -> class count, records: list, bad: int)
+    for the keys finished under `config`.
 
     Unparseable lines are appended to `<path>.quarantine` and dropped.
     """
     done = {}
-    records = []
     bad_lines = []
     if not os.path.exists(path):
-        return done, records, 0
+        return {}, [], 0
     if not os.access(path, os.R_OK):
         raise OSError(f"cache file {path} is not readable")
+    pending = []  # class records of the append being read
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -67,28 +70,37 @@ def read_cache(path: str):
             try:
                 obj = json.loads(line)
                 if obj.get("schema") != SCHEMA_VERSION:
-                    raise ValueError("schema mismatch")
+                    continue
                 kind = obj["kind"]
                 key = (obj["n"], obj["k"], obj["q"])
-                if kind == "q_done":
-                    done[key] = obj["classes"]
-                elif kind == "class":
-                    records.append(obj)
+                if kind == "class":
+                    pending.append(obj)
+                elif kind == "q_done":
+                    count = obj["classes"]
+                    same = all(obj[f] == config[f] for f in CONFIG_FIELDS)
+                    mine = [r for r in pending if (r["n"], r["k"], r["q"]) == key]
+                    pending = []
+                    if same and len(mine) >= count:
+                        done[key] = mine[len(mine) - count:]
                 else:
                     raise ValueError("unknown record kind")
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, AttributeError):
                 bad_lines.append(line)
     if bad_lines:
         with open(path + ".quarantine", "a", encoding="utf-8") as fh:
             for line in bad_lines:
                 fh.write(line + "\n")
-    # drop class records of keys without a completion marker
-    records = [r for r in records if (r["n"], r["k"], r["q"]) in done]
-    return done, records, len(bad_lines)
+    records = [
+        {f: v for f, v in r.items() if f not in _CACHE_FIELDS}
+        for recs in done.values()
+        for r in recs
+    ]
+    return {key: len(recs) for key, recs in done.items()}, records, len(bad_lines)
 
 
-def cache_resume(cache_dir: str, plan):
-    """Filter a plan of (n, k, q) work items down to what is not yet done.
+def cache_resume(cache_dir: str, plan, config=DEFAULT_CONFIG):
+    """Filter a plan of (n, k, q) work items down to what is not yet done
+    under `config`.
 
     Idempotent; corrupted lines are quarantined (their keys recompute).
     """
@@ -98,13 +110,6 @@ def cache_resume(cache_dir: str, plan):
         raise OSError(f"cache directory {cache_dir} is not readable")
     done_all = {}
     for n, k in sorted({(n, k) for n, k, _ in plan}):
-        done, _, _ = read_cache(cache_path(cache_dir, n, k))
+        done, _, _ = read_cache(cache_path(cache_dir, n, k), config)
         done_all.update(done)
     return [item for item in plan if tuple(item) not in done_all]
-
-
-def load_records(cache_dir: str, n: int, k: int):
-    if cache_dir is None:
-        raise ParameterError("no cache directory configured")
-    _, records, _ = read_cache(cache_path(cache_dir, n, k))
-    return records

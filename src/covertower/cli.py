@@ -1,7 +1,13 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage error, 2 a verification against the
-reference values came out red.
+Exit codes, each non-zero one with a single `error:` line on stderr except
+for 2:
+  0  success;
+  1  bad input: a usage error, a parameter out of range, an undefined
+     operation on the input, a malformed presentation, an unreadable file;
+  2  a verification against the reference values came out red;
+  3  a resource guard tripped (for example the p-quotient layer width);
+  4  an internal invariant failed: a bug, not bad input.
 """
 
 import argparse
@@ -11,7 +17,13 @@ import sys
 
 from .arith import is_prime
 from .cache import append_q_records, cache_path, cache_resume, read_cache
-from .errors import ParameterError
+from .errors import (
+    DomainError,
+    InternalInvariantError,
+    MalformedWordError,
+    ParameterError,
+    ResourceError,
+)
 from .fpcore.words import parse_presentation
 from .pquotient import (
     dk_series_and_classify,
@@ -112,12 +124,14 @@ def _load_presentation(path):
         return parse_presentation(fh.read())
 
 
+def _q_task(task):
+    """(q, class records) for one (n, k, q, proxy_prime, second_prime,
+    exact_k) work item; importable for worker pools."""
+    return task[2], compute_q_records(*task)
+
+
 def _run_survey(args) -> int:
-    try:
-        spec = OrbifoldSpec(args.n, args.k)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    spec = OrbifoldSpec(args.n, args.k)
     if not is_prime(args.proxy_prime) or (
         args.second_prime is not None and not is_prime(args.second_prime)
     ):
@@ -127,37 +141,41 @@ def _run_survey(args) -> int:
         print("error: --qmax must be >= 2", file=sys.stderr)
         return 1
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    qs = prime_powers_up_to(args.qmax)
-    plan = [(spec.n, spec.k, q) for q in qs]
+    config = {
+        "exact_k": args.exact_k,
+        "proxy_prime": args.proxy_prime,
+        "second_prime": args.second_prime,
+    }
+    plan = [(spec.n, spec.k, q) for q in prime_powers_up_to(args.qmax)]
     records = []
+    path = None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        plan = cache_resume(cache_dir, plan)
-        _, cached, _ = read_cache(cache_path(cache_dir, spec.n, spec.k))
+        plan = cache_resume(cache_dir, plan, config)
+        path = cache_path(cache_dir, spec.n, spec.k)
+        _, cached, _ = read_cache(path, config)
         records.extend(cached)
-    work = [q for (_, _, q) in plan]
-    results = {}
-    if args.tasks > 1 and work:
+    tasks = [
+        (spec.n, spec.k, q, args.proxy_prime, args.second_prime, args.exact_k)
+        for (_, _, q) in plan
+    ]
+
+    def finish(q, part):
+        # each q reaches the cache as soon as it is done, so a crash loses
+        # only the unfinished ones
+        if path:
+            append_q_records(path, spec.n, spec.k, q, part, config)
+        records.extend(part)
+
+    if args.tasks > 1 and tasks:
         import multiprocessing as mp
 
         with mp.Pool(args.tasks) as pool:
-            argss = [
-                (spec.n, spec.k, q, args.proxy_prime, args.second_prime, args.exact_k)
-                for q in work
-            ]
-            for q, part in zip(work, pool.starmap(compute_q_records, argss)):
-                results[q] = part
+            for q, part in pool.imap_unordered(_q_task, tasks):
+                finish(q, part)
     else:
-        for q in work:
-            results[q] = compute_q_records(
-                spec.n, spec.k, q, args.proxy_prime, args.second_prime, args.exact_k
-            )
-    for q in sorted(results):
-        if cache_dir:
-            append_q_records(
-                cache_path(cache_dir, spec.n, spec.k), spec.n, spec.k, q, results[q]
-            )
-        records.extend(results[q])
+        for task in tasks:
+            finish(*_q_task(task))
     report = aggregate_records(
         spec.n,
         spec.k,
@@ -286,12 +304,15 @@ def main(argv=None) -> int:
         if args.cmd == "witt":
             print(witt_cumulative(args.k))
             return 0
-    except ParameterError as exc:
+    except (ParameterError, DomainError, MalformedWordError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except ResourceError as exc:
+        print(f"error: resource guard tripped: {exc}", file=sys.stderr)
+        return 3
+    except InternalInvariantError as exc:
+        print(f"error: internal invariant failed (a bug): {exc}", file=sys.stderr)
+        return 4
     raise AssertionError("unreachable")
 
 

@@ -1,16 +1,18 @@
-"""Arithmetic in F_{p^m}, 2x2 matrices, and the projective-line action.
+"""Arithmetic in F_q = F_{p^m}, 2x2 matrices, and the projective-line action.
 
 Field elements are coefficient tuples of length m, low degree first, with
-entries in 0..p-1.  Each context owns a deterministic modulus: the monic
-irreducible of degree m whose coefficient vector, read as base-p digits
-(low degree least significant), is smallest.  No Conway-polynomial tables;
-where F_q inside F_{q^2} is needed, the embedding is computed once per
-context pair by root-finding.
+entries in 0..p-1; this is the only field representation in the package.
+Each context owns a deterministic modulus: the monic irreducible of degree
+m whose coefficient vector, read as base-p digits (low degree least
+significant), is smallest.  No Conway-polynomial tables.
+
+All computation stays inside F_q: the traces of a prescribed projective
+order come from Chebyshev polynomials evaluated at x in F_q.
 """
 
 from functools import lru_cache
 
-from .arith import divisors, factorize, is_prime, prime_power_split
+from .arith import divisors, factorize, is_prime
 from .errors import DomainError, ParameterError
 from .fpcore.perms import Permutation
 
@@ -104,12 +106,11 @@ def _poly_is_irreducible(coeffs, p):
 class FqCtx:
     """Immutable finite-field context; shareable across tasks."""
 
-    def __init__(self, p, m, _wide_ok=False):
+    def __init__(self, p, m):
         if not is_prime(p):
             raise ParameterError(f"{p} is not prime")
-        limit = 16 if _wide_ok else 8
-        if not 1 <= m <= limit:
-            raise ParameterError(f"extension degree {m} outside 1..{limit}")
+        if not 1 <= m <= 8:
+            raise ParameterError(f"extension degree {m} outside 1..8")
         self.p = p
         self.m = m
         self.q = p**m
@@ -130,7 +131,6 @@ class FqCtx:
         self._red = red
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
-        self._gen_cache = None
         self._sqrt_cache = None
 
     @staticmethod
@@ -226,17 +226,6 @@ class FqCtx:
             self._sqrt_cache = table
         return self._sqrt_cache.get(a)
 
-    def multiplicative_generator(self):
-        """Least-index generator of the multiplicative group."""
-        if self._gen_cache is None:
-            fac = factorize(self.q - 1) if self.q > 2 else {}
-            for i in range(1, self.q):
-                g = self.elem(i)
-                if all(self.pow(g, (self.q - 1) // ell) != self.one for ell in fac):
-                    self._gen_cache = g
-                    break
-        return self._gen_cache
-
     def __eq__(self, other):
         return (
             isinstance(other, FqCtx) and self.p == other.p and self.m == other.m
@@ -255,47 +244,6 @@ def fq_context(p: int, m: int) -> FqCtx:
     return FqCtx(p, m)
 
 
-@lru_cache(maxsize=None)
-def _wide_context(p: int, m: int) -> FqCtx:
-    return FqCtx(p, m, _wide_ok=True)
-
-
-@lru_cache(maxsize=None)
-def quadratic_extension(ctx: FqCtx):
-    """(F_{q^2} context, embedding dict F_q elem -> F_{q^2} elem).
-
-    The embedding sends the class of z to the least root (in enumeration
-    order) of ctx's modulus inside the big field; deterministic.
-    """
-    ctx2 = _wide_context(ctx.p, 2 * ctx.m)
-    # find the least root of ctx.modulus in ctx2
-    root = None
-    for i in range(ctx2.q):
-        cand = ctx2.elem(i)
-        acc = ctx2.zero
-        power = ctx2.one
-        for c in ctx.modulus:
-            if c:
-                acc = ctx2.add(acc, ctx2.mul(ctx2.from_int(c), power))
-            power = ctx2.mul(power, cand)
-        if acc == ctx2.zero:
-            root = cand
-            break
-    if root is None:
-        raise DomainError("modulus has no root in the quadratic extension")
-    emb = {}
-    for i in range(ctx.q):
-        a = ctx.elem(i)
-        acc = ctx2.zero
-        power = ctx2.one
-        for c in a:
-            if c:
-                acc = ctx2.add(acc, ctx2.mul(ctx2.from_int(c), power))
-            power = ctx2.mul(power, root)
-        emb[a] = acc
-    return ctx2, emb
-
-
 def element_order(ctx: FqCtx, e) -> int:
     """Multiplicative order, via the factorization of q-1."""
     if e == ctx.zero:
@@ -310,50 +258,30 @@ def element_order(ctx: FqCtx, e) -> int:
 def order_k_traces(ctx: FqCtx, k: int, exact: bool = True):
     """Traces of 2x2 determinant-1 matrices of prescribed projective order.
 
-    With `exact`, all x in F_q such that some det-1 matrix of trace x has
-    image of order exactly k in PSL2(F_q).  Semisimple points are
-    x = z + 1/z for z in mu_{q-1} or mu_{q+1} inside F_{q^2} with
-    ord(z^2) = k; if p divides k the unipotent traces +-2 join the set,
-    flagged non-semisimple.  Without `exact`, the union over divisors
-    k' >= 2 of k.
+    The companion matrix M of trace x satisfies M^j = S_{j-1}(x) M -
+    S_{j-2}(x) I with S the Chebyshev polynomials of the second kind
+    (S_{-1} = 0, S_0 = 1, S_j = x S_{j-1} - S_{j-2}), so M is scalar
+    exactly when S_{j-1}(x) = 0.  With `exact`, x is returned when M has
+    projective order exactly k: S_{k-1}(x) = 0 and S_{k/l-1}(x) != 0 for
+    every prime l dividing k.  Without `exact`, the union over divisors
+    k' >= 2 of k.  Every det-1 matrix of trace x other than +-I is
+    conjugate to M, and x is semisimple exactly when x is not +-2.
 
     Returns a set of (x, semisimple) pairs.
     """
     if k < 2:
         raise ParameterError("projective order must be at least 2")
     ks = [k] if exact else [d for d in divisors(k) if d >= 2]
+    primes = {kk: list(factorize(kk)) for kk in ks}
+    unipotent = (ctx.from_int(2), ctx.from_int(-2))
     out = set()
-    ctx2, emb = quadratic_extension(ctx)
-    inv_emb = {v: a for a, v in emb.items()}
-    q = ctx.q
-    qq = ctx2.q - 1  # order of the big multiplicative group
-    gamma = ctx2.multiplicative_generator()
-    from math import gcd
-
-    for subgroup_order, step in ((q - 1, q + 1), (q + 1, q - 1)):
-        if subgroup_order <= 0:
-            continue
-        base = ctx2.pow(gamma, step)
-        base_inv = ctx2.inv(base)
-        zeta, zeta_inv = ctx2.one, ctx2.one
-        for e in range(subgroup_order):
-            if e:
-                zeta = ctx2.mul(zeta, base)
-                zeta_inv = ctx2.mul(zeta_inv, base_inv)
-            # ord(zeta^2) from exponent arithmetic: zeta = gamma^(step*e)
-            expo = (2 * step * e) % qq
-            o = qq // gcd(qq, expo) if expo else 1
-            if o in ks:
-                x2 = ctx2.add(zeta, zeta_inv)
-                x = inv_emb.get(x2)
-                if x is None:
-                    raise DomainError("trace outside the base field")  # unreachable
-                out.add((x, True))
-    p = ctx.p
-    include_unipotent = (k == p) if exact else (k % p == 0)
-    if include_unipotent:
-        out.add((ctx.from_int(2), False))
-        out.add((ctx.from_int(-2), False))
+    for x in ctx.elements():
+        s = [ctx.zero, ctx.one]  # s[j] = S_{j-1}(x)
+        for _ in range(max(ks) - 1):
+            s.append(ctx.sub(ctx.mul(x, s[-1]), s[-2]))
+        for kk in ks:
+            if s[kk] == ctx.zero and all(s[kk // ell] != ctx.zero for ell in primes[kk]):
+                out.add((x, x not in unipotent))
     return out
 
 
@@ -415,60 +343,6 @@ def mat_pow(ctx, A, e: int):
     return result
 
 
-def commutator_trace(ctx, A, B):
-    """tr(A B A^-1 B^-1); equals 2 exactly when the pair is reducible
-    (for an irreducible det-1 pair the test is two-sided)."""
-    C = mat_mul(ctx, mat_mul(ctx, A, B), mat_mul(ctx, mat_inv(ctx, A), mat_inv(ctx, B)))
-    return mat_trace(ctx, C)
-
-
-def mat_projective_order(ctx, A, bound=None):
-    """Order of A in PGL2; walks powers until +-identity."""
-    ident = mat_identity(ctx)
-    neg_ident = mat_neg(ctx, ident)
-    cur = A
-    n = 1
-    limit = bound or (ctx.q + 1)
-    while n <= limit:
-        if cur == ident or cur == neg_ident:
-            return n
-        cur = mat_mul(ctx, cur, A)
-        n += 1
-    raise DomainError("projective order exceeds bound")
-
-
-class Mat2Algebra:
-    """Operation suite over one context (spec surface for the matrix ops)."""
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-
-    def mul(self, A, B):
-        return mat_mul(self.ctx, A, B)
-
-    def inverse(self, A):
-        return mat_inv(self.ctx, A)
-
-    def det(self, A):
-        return mat_det(self.ctx, A)
-
-    def trace(self, A):
-        return mat_trace(self.ctx, A)
-
-    def power(self, A, e):
-        return mat_pow(self.ctx, A, e)
-
-    def commutator_trace(self, A, B):
-        return commutator_trace(self.ctx, A, B)
-
-    def identity(self):
-        return mat_identity(self.ctx)
-
-
-def mat2_algebra(ctx) -> Mat2Algebra:
-    return Mat2Algebra(ctx)
-
-
 def p1_action(ctx, M):
     """Permutation of P^1(F_q) induced by a nonsingular matrix.
 
@@ -498,11 +372,3 @@ def p1_action(ctx, M):
 
 def psl2_order(q: int) -> int:
     return q * (q * q - 1) // (2 if q % 2 else 1)
-
-
-def fq_context_for(q: int) -> FqCtx:
-    """Context for a prime power given multiplicatively."""
-    pm = prime_power_split(q)
-    if pm is None:
-        raise ParameterError(f"{q} is not a prime power")
-    return fq_context(*pm)

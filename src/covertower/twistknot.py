@@ -1,10 +1,19 @@
 """Congruence-style covers of twist-knot orbifolds via epimorphism search.
 
-Pipeline: enumerate surjections of the two-generator orbifold group onto
-PSL2(F_q) in standard triangular/lower-triangular shape, deduplicate by the
-automorphism group of the target, realize each class on the projective
-line, cut out the Borel preimage as a point stabilizer, and measure its
-first homology over a large prime field.
+Pipeline: enumerate surjections of the two-generator orbifold group
+<a, b | a^k, b^k, w^n a w^-n b^-1> onto PSL2(F_q) up to the automorphism
+group of the target, realize each class on the projective line, cut out
+the Borel preimage as a point stabilizer, and measure its first homology
+over a large prime field.
+
+The search never leaves F_q.  A class is determined by its trace
+coordinates x = tr A = tr B and y = tr AB (Riley 1984; Hoste-Shanahan
+2001).  The meridian traces of each projective order come from Chebyshev
+polynomials (`finfield.order_k_traces`); the relator is a set of integer
+polynomials in (x, y), derived once per twist n in the algebra spanned by
+1, A, B, AB and evaluated over F_q.  Each accepted (x, y) is realized by
+an explicit pair over F_q (`conjugate_to_base_field`) on which the relator
+is checked again as matrices.
 
 Surjectivity is decided by exact permutation-group order, not by a
 classification of subgroups.  No trace-variety component filtering is done;
@@ -13,27 +22,25 @@ of the geometric representation are flagged `non_canonical` instead.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from functools import lru_cache
 
 from .arith import divisors, is_prime, prime_power_split
 from .errors import InternalInvariantError, ParameterError
 from .fpcore.perms import group_order_equals, orbit_and_transversal
 from .fpcore.rewriting import betti_proxy_cover
-from .fpcore.words import Presentation, cyclic_reduce, invert_word, word_power
+from .fpcore.words import Presentation, cyclic_reduce, word_power
 from .finfield import (
-    commutator_trace,
     fq_context,
     mat_det,
     mat_identity,
     mat_inv,
     mat_mul,
     mat_neg,
-    mat_projective_order,
+    mat_pow,
     mat_trace,
     order_k_traces,
     p1_action,
     psl2_order,
-    quadratic_extension,
 )
 
 # Twist parameters examined in the source survey: |n| <= 4, 3 <= k <= 7,
@@ -85,23 +92,6 @@ def canonical_meridian_order(k: int, p: int) -> int:
 
 
 @dataclass(frozen=True)
-class RepCandidate:
-    """A trace-parameter candidate before surjectivity testing.
-
-    Matrices live over F_{q^2}; x, y, t are base-field values and y is
-    always recomputed from the matrices."""
-
-    ctx2: object
-    x: tuple
-    t: tuple
-    y: tuple
-    korder: int
-    semisimple: bool
-    A: tuple
-    B: tuple
-
-
-@dataclass(frozen=True)
 class EpiClass:
     """A surjection onto PSL2(F_q) up to Aut(PSL2(F_q))."""
 
@@ -117,7 +107,6 @@ class EpiClass:
     non_canonical: bool
     A0: tuple
     B0: tuple
-    order_verified: bool
 
 
 @dataclass(frozen=True)
@@ -137,19 +126,130 @@ class CoverRecord:
         return True
 
 
+# --- the relator in trace coordinates ---------------------------------------
+# For a det-1 pair (A, B) with tr A = tr B = x and tr AB = y, the algebra
+# the pair generates is spanned by 1, A, B, AB; it is all of M2 exactly when
+# the pair is absolutely irreducible, and then these four are a basis.  An
+# element is a 4-tuple of coordinates on that basis, each an integer
+# polynomial in (x, y) stored as a dict {(i, j): c} for c x^i y^j.  The
+# products follow from A^2 = xA - 1, B^2 = xB - 1 and
+# AB + BA = xA + xB + (y - x^2).
+
+
+def _poly_add(f, g, sign=1):
+    out = dict(f)
+    for e, c in g.items():
+        v = out.get(e, 0) + sign * c
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _poly_mul(f, g):
+    out = {}
+    for (i, j), c in f.items():
+        for (k, l), d in g.items():
+            e = (i + k, j + l)
+            out[e] = out.get(e, 0) + c * d
+    return {e: c for e, c in out.items() if c}
+
+
+_Z, _ONE, _M1 = {}, {(0, 0): 1}, {(0, 0): -1}
+_X, _MX, _Y = {(1, 0): 1}, {(1, 0): -1}, {(0, 1): 1}
+_C = {(0, 1): 1, (2, 0): -1}  # y - x^2
+
+# _BASIS_PRODUCT[i][j]: coordinates of e_i e_j on (1, A, B, AB)
+_BASIS_PRODUCT = (
+    ((_ONE, _Z, _Z, _Z), (_Z, _ONE, _Z, _Z), (_Z, _Z, _ONE, _Z), (_Z, _Z, _Z, _ONE)),
+    ((_Z, _ONE, _Z, _Z), (_M1, _X, _Z, _Z), (_Z, _Z, _Z, _ONE), (_Z, _Z, _M1, _X)),
+    ((_Z, _Z, _ONE, _Z), (_C, _X, _X, _M1), (_M1, _Z, _X, _Z), (_MX, _ONE, _Y, _Z)),
+    ((_Z, _Z, _Z, _ONE), (_MX, _Y, _ONE, _Z), (_Z, _M1, _Z, _X), (_M1, _Z, _Z, _Y)),
+)
+
+
+def _alg_mul(u, v):
+    out = [_Z] * 4
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            uv = _poly_mul(ui, vj)
+            for r, coef in enumerate(_BASIS_PRODUCT[i][j]):
+                if coef:
+                    out[r] = _poly_add(out[r], _poly_mul(uv, coef))
+    return tuple(out)
+
+
+_A = (_Z, _ONE, _Z, _Z)
+_B = (_Z, _Z, _ONE, _Z)
+_A_INV = (_X, _M1, _Z, _Z)  # x - A
+_B_INV = (_X, _Z, _M1, _Z)  # x - B
+
+
+@lru_cache(maxsize=None)
+def _relator_polys(n: int):
+    """Coordinates of W^n A - B W^n and of W^n A + B W^n, w = b a^-1 b^-1 a.
+
+    An irreducible pair satisfies w^n a w^-n b^-1 = +-1 exactly when one of
+    the two 4-tuples vanishes at its (x, y).  Each polynomial is returned
+    as a tuple of ((i, j), c) items."""
+    if n >= 0:
+        W = _alg_mul(_alg_mul(_B, _A_INV), _alg_mul(_B_INV, _A))
+    else:
+        W = _alg_mul(_alg_mul(_A_INV, _B), _alg_mul(_A, _B_INV))
+    Wn = (_ONE, _Z, _Z, _Z)
+    for _ in range(abs(n)):
+        Wn = _alg_mul(Wn, W)
+    left, right = _alg_mul(Wn, _A), _alg_mul(_B, Wn)
+    return tuple(
+        tuple(tuple(sorted(_poly_add(f, g, sign).items())) for f, g in zip(left, right))
+        for sign in (-1, 1)
+    )
+
+
+def _relator_in_y(ctx, n, x):
+    """The relator polynomials with x substituted: for each sign, the
+    nonzero coordinates as coefficient lists in y over F_q, highest first."""
+    xs = [ctx.one]
+    out = []
+    for coords in _relator_polys(n):
+        polys = []
+        for poly in coords:
+            coefs = {}
+            for (i, j), c in poly:
+                while len(xs) <= i:
+                    xs.append(ctx.mul(xs[-1], x))
+                term = ctx.mul(ctx.from_int(c), xs[i])
+                coefs[j] = ctx.add(coefs.get(j, ctx.zero), term)
+            top = max((j for j, c in coefs.items() if c != ctx.zero), default=None)
+            if top is not None:
+                polys.append([coefs.get(j, ctx.zero) for j in range(top, -1, -1)])
+        out.append(polys)
+    return out
+
+
+def _horner(ctx, coefs, y):
+    acc = ctx.zero
+    for c in coefs:
+        acc = ctx.add(ctx.mul(acc, y), c)
+    return acc
+
+
+def _relator_holds(ctx, signs, y):
+    """Does some sign's coordinate list vanish at y?"""
+    return any(
+        all(_horner(ctx, coefs, y) == ctx.zero for coefs in polys) for polys in signs
+    )
+
+
 def _relator_matrix(ctx, A, B, n):
     """Image of w^n a w^-n b^-1."""
     W = mat_mul(ctx, mat_mul(ctx, B, mat_inv(ctx, A)), mat_mul(ctx, mat_inv(ctx, B), A))
-    Wn = mat_identity(ctx)
-    base = W
-    e = abs(n)
-    while e:
-        if e & 1:
-            Wn = mat_mul(ctx, Wn, base)
-        base = mat_mul(ctx, base, base)
-        e >>= 1
-    if n < 0:
-        Wn = mat_inv(ctx, Wn)
+    Wn = mat_pow(ctx, W, n)
     return mat_mul(
         ctx, mat_mul(ctx, Wn, A), mat_mul(ctx, mat_inv(ctx, Wn), mat_inv(ctx, B))
     )
@@ -159,79 +259,15 @@ def _is_pm_identity(ctx, M):
     return M == mat_identity(ctx) or M == mat_neg(ctx, mat_identity(ctx))
 
 
-def _find_s(ctx, ctx2, emb, x):
-    """Root of z^2 - x z + 1 in F_{q^2}, located inside mu_{q-1} U mu_{q+1}."""
-    xe = emb[x]
-    q = ctx.q
-    gamma = ctx2.multiplicative_generator()
-    for step, count in ((q + 1, q - 1), (q - 1, q + 1)):
-        base = ctx2.pow(gamma, step)
-        base_inv = ctx2.inv(base)
-        s, s_inv = ctx2.one, ctx2.one
-        for e in range(count):
-            if e:
-                s = ctx2.mul(s, base)
-                s_inv = ctx2.mul(s_inv, base_inv)
-            if ctx2.add(s, s_inv) == xe:
-                return s
-    raise InternalInvariantError("trace has no eigenvalue in the mu subgroups")
-
-
-def build_rep(spec: OrbifoldSpec, ctx, x, t, korder=None):
-    """Standard-shape candidate for given meridian trace x and parameter t.
-
-    Semisimple branch: A = [[s,1],[0,1/s]], B = [[s,0],[t,1/s]] with s a
-    root of z^2 - xz + 1 in F_{q^2}; unipotent branch (x = +-2 in odd
-    characteristic, 0 in characteristic 2): the same shapes with s = +-1.
-    Returns a RepCandidate, or a string reason for rejection.
-    """
-    ctx2, emb = quadratic_extension(ctx)
-    two = ctx.from_int(2)
-    minus_two = ctx.from_int(-2)
-    unipotent = x in (two, minus_two)
-    if t == ctx.zero:
-        return "reducible: t = 0"
-    xx = ctx.mul(x, x)
-    t_bad = ctx.sub(ctx.from_int(4), xx)
-    if t == t_bad:
-        return "reducible: t = 4 - x^2"
-    if unipotent:
-        s = ctx2.one if (ctx.p == 2 or x == two) else ctx2.neg(ctx2.one)
-        s_inv = s
-    else:
-        s = _find_s(ctx, ctx2, emb, x)
-        s_inv = ctx2.inv(s)
-    te = emb[t]
-    A = (s, ctx2.one, ctx2.zero, s_inv)
-    B = (s, ctx2.zero, te, s_inv)
-    if mat_det(ctx2, A) != ctx2.one or mat_det(ctx2, B) != ctx2.one:
-        raise InternalInvariantError("candidate matrices must have determinant 1")
-    if commutator_trace(ctx2, A, B) == ctx2.from_int(2):
-        return "reducible: commutator trace 2"
-    R = _relator_matrix(ctx2, A, B, spec.n)
-    if not _is_pm_identity(ctx2, R):
-        return "relator not satisfied"
-    emb_inv = {v: kk for kk, v in emb.items()}
-    y2 = mat_trace(ctx2, mat_mul(ctx2, A, B))
-    y = emb_inv.get(y2)
-    if y is None:
-        raise InternalInvariantError("tr(AB) left the base field")
-    if korder is None:
-        korder = mat_projective_order(ctx2, A, bound=2 * ctx.q + 2)
-    return RepCandidate(ctx2, x, t, y, korder, not unipotent, A, B)
-
-
-def conjugate_to_base_field(cand: RepCandidate, ctx):
-    """Base-field pair with the same trace triple (x, x, y) and relators.
+def conjugate_to_base_field(ctx, x, y):
+    """Base-field pair with the trace triple (x, x, y).
 
     A0 is the companion matrix [[x,-1],[1,0]]; B0 is solved from
     tr B0 = x, det B0 = 1, tr(A0 B0) = y by scanning its upper-left entry
     (at most q trials; each is a quadratic in the lower-left entry).
     """
-    x, y = cand.x, cand.y
-    one, zero = ctx.one, ctx.zero
-    A0 = (x, ctx.neg(one), one, zero)
-    p = ctx.p
+    one = ctx.one
+    A0 = (x, ctx.neg(one), one, ctx.zero)
     for ci in range(ctx.q):
         c = ctx.elem(ci)
         # B0 = [[c, b],[g, x - c]]: b - g = y - x c, det = 1 gives a
@@ -291,39 +327,41 @@ def _frobenius_orbit_key(ctx, x, y):
 def enumerate_epimorphisms(spec: OrbifoldSpec, q: int, exact_k: bool = False):
     """All surjections onto PSL2(F_q) up to Aut(PSL2(F_q)), as EpiClass list.
 
-    Meridian traces run over projective orders k' dividing k (k' >= 2), or
-    exactly k when exact_k is set; the free parameter t runs over F_q.
-    Candidates must satisfy the relators projectively, be absolutely
-    irreducible, and generate the full group (exact permutation order on
-    the projective line).
+    Meridian traces x run over projective orders k' dividing k (k' >= 2),
+    or exactly k when exact_k is set; y = x^2 - 2 + t runs over F_q with
+    the parameter t = y - x^2 + 2 scanned by index.  Candidates must
+    be absolutely irreducible (t != 0 and y != 2, the two factors of
+    tr[A,B] - 2), satisfy the relator polynomials of the twist, and
+    generate the full group (exact permutation order on the projective
+    line).
     """
     pm = prime_power_split(q)
     if pm is None:
         raise ParameterError(f"{q} is not a prime power")
     ctx = fq_context(*pm)
-    p = ctx.p
     target = psl2_order(q)
-    canon_order = canonical_meridian_order(spec.k, p)
+    canon_order = canonical_meridian_order(spec.k, ctx.p)
     ks = [spec.k] if exact_k else [d for d in divisors(spec.k) if d >= 2]
+    two = ctx.from_int(2)
     classes = {}
     seen_keys = set()
     for korder in ks:
-        traces = sorted(order_k_traces(ctx, korder, exact=True))
-        for x, semisimple in traces:
+        for x, semisimple in sorted(order_k_traces(ctx, korder, exact=True)):
+            signs = _relator_in_y(ctx, spec.n, x)
+            shift = ctx.sub(ctx.mul(x, x), two)
             for ti in range(1, ctx.q):
                 t = ctx.elem(ti)
-                cand = build_rep(spec, ctx, x, t, korder=korder)
-                if isinstance(cand, str):
+                y = ctx.add(shift, t)
+                if y == two or not _relator_holds(ctx, signs, y):
                     continue
-                key = _frobenius_orbit_key(ctx, cand.x, cand.y)
+                key = _frobenius_orbit_key(ctx, x, y)
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)
-                A0, B0 = conjugate_to_base_field(cand, ctx)
-                R0 = _relator_matrix(ctx, A0, B0, spec.n)
-                if not _is_pm_identity(ctx, R0):
+                A0, B0 = conjugate_to_base_field(ctx, x, y)
+                if not _is_pm_identity(ctx, _relator_matrix(ctx, A0, B0, spec.n)):
                     raise InternalInvariantError(
-                        "relator lost under base-field conjugation"
+                        "relator polynomials and relator matrix disagree"
                     )
                 pa, pb = p1_action(ctx, A0), p1_action(ctx, B0)
                 orbit, _ = orbit_and_transversal([pa, pb], ctx.q)
@@ -336,15 +374,14 @@ def enumerate_epimorphisms(spec: OrbifoldSpec, q: int, exact_k: bool = False):
                     n=spec.n,
                     k=spec.k,
                     canonical_key=key,
-                    x=cand.x,
-                    y=cand.y,
-                    t=cand.t,
+                    x=x,
+                    y=y,
+                    t=t,
                     korder=korder,
                     semisimple=semisimple,
                     non_canonical=(korder != canon_order),
                     A0=A0,
                     B0=B0,
-                    order_verified=True,
                 )
     return [classes[k] for k in sorted(classes)]
 

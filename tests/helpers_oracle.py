@@ -217,3 +217,48 @@ def brute_epimorphism_classes(spec, ctx, relators):
                 pa, pb = G.canon(frob(pa)), G.canon(frob(pb))
         keys.add(best)
     return keys
+
+
+# --- plain 2x2 powering ---------------------------------------------------
+
+
+def _mat_mul(ctx, A, B):
+    a, b, c, d = A
+    e, f, g, h = B
+    return (
+        ctx.add(ctx.mul(a, e), ctx.mul(b, g)),
+        ctx.add(ctx.mul(a, f), ctx.mul(b, h)),
+        ctx.add(ctx.mul(c, e), ctx.mul(d, g)),
+        ctx.add(ctx.mul(c, f), ctx.mul(d, h)),
+    )
+
+
+def _is_scalar_one(ctx, M):
+    """M = +-I?"""
+    return M[1] == M[2] == ctx.zero and M[0] == M[3] and ctx.mul(M[0], M[0]) == ctx.one
+
+
+def companion_projective_order(ctx, x, bound):
+    """Least j <= bound with M^j = +-I for M = [[x,-1],[1,0]], found by
+    multiplying out the powers; None when there is none."""
+    M = (x, ctx.neg(ctx.one), ctx.one, ctx.zero)
+    cur = M
+    for j in range(1, bound + 1):
+        if _is_scalar_one(ctx, cur):
+            return j
+        cur = _mat_mul(ctx, cur, M)
+    return None
+
+
+def word_is_scalar(ctx, word, A, B):
+    """Evaluate a word in det-1 matrices A, B letter by letter (inverses
+    by the adjugate); True when the product is +-I."""
+    def inv(M):
+        a, b, c, d = M
+        return (d, ctx.neg(b), ctx.neg(c), a)
+
+    table = {1: A, 2: B, -1: inv(A), -2: inv(B)}
+    out = (ctx.one, ctx.zero, ctx.zero, ctx.one)
+    for letter in word:
+        out = _mat_mul(ctx, out, table[letter])
+    return _is_scalar_one(ctx, out)

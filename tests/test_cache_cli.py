@@ -11,6 +11,7 @@ from covertower.cache import (
     cache_resume,
     read_cache,
 )
+from covertower import errors
 from covertower.cli import main
 
 
@@ -164,3 +165,112 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "5"
+
+
+def _survey(args, capsys):
+    rc = main(["twist-survey", "-n", "4", "-k", "4"] + args)
+    return rc, capsys.readouterr().out
+
+
+def test_cli_survey_json_warm_equals_fresh(tmp_path, capsys):
+    """A report resumed from a cache is byte-identical to a fresh one."""
+    cdir = str(tmp_path / "cache")
+    fresh, warm = tmp_path / "fresh.json", tmp_path / "warm.json"
+    assert _survey(["--qmax", "11", "--format", "json", "--output", str(fresh)], capsys)[0] == 0
+    assert _survey(["--qmax", "7", "--cache-dir", cdir], capsys)[0] == 0
+    assert _survey(["--qmax", "11", "--cache-dir", cdir, "--format", "json",
+                    "--output", str(warm)], capsys)[0] == 0
+    assert fresh.read_bytes() == warm.read_bytes()
+
+
+def test_cli_survey_cache_keyed_by_config(tmp_path, capsys):
+    """Records computed without --exact-k are not served to an --exact-k
+    run (or under another proxy prime) from the same cache directory."""
+    cdir = str(tmp_path / "cache")
+    rc, out = _survey(["--qmax", "30", "--cache-dir", cdir], capsys)
+    assert rc == 0 and "classes_total=3" in out.splitlines()
+    rc, out = _survey(["--qmax", "30", "--cache-dir", cdir, "--exact-k"], capsys)
+    assert rc == 0 and "classes_total=2" in out.splitlines()
+    rc, out = _survey(["--qmax", "30", "--cache-dir", cdir, "--tasks", "2",
+                       "--proxy-prime", "101"], capsys)
+    assert rc == 0 and "classes_total=3" in out.splitlines()
+    path = cache_path(cdir, 4, 4)
+    for config, count in [
+        ({"exact_k": False, "proxy_prime": 31991, "second_prime": None}, 3),
+        ({"exact_k": True, "proxy_prime": 31991, "second_prime": None}, 2),
+        ({"exact_k": False, "proxy_prime": 101, "second_prime": None}, 3),
+        ({"exact_k": False, "proxy_prime": 101, "second_prime": 7}, 0),
+    ]:
+        done, records, bad = read_cache(path, config)
+        assert len(records) == count and bad == 0
+        assert all(r["proxy_prime"] == config["proxy_prime"] for r in records)
+        assert all("schema" not in r and "kind" not in r for r in records)
+
+
+def test_cli_survey_resumes_after_crash(tmp_path, capsys, monkeypatch):
+    """Every q finished before a crash is in the cache; the rerun computes
+    only the rest."""
+    from covertower import cli
+
+    cdir = str(tmp_path / "cache")
+    real = cli.compute_q_records
+    calls = []
+
+    def crash_at_23(n, k, q, *rest):
+        if q == 23:
+            raise RuntimeError("simulated crash")
+        calls.append(q)
+        return real(n, k, q, *rest)
+
+    monkeypatch.setattr(cli, "compute_q_records", crash_at_23)
+    with pytest.raises(RuntimeError):
+        main(["twist-survey", "-n", "4", "-k", "4", "--qmax", "25", "--cache-dir", cdir])
+    finished = calls[:]
+    assert finished == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
+    done, _, _ = read_cache(cache_path(cdir, 4, 4))
+    assert sorted(q for _, _, q in done) == finished
+
+    calls.clear()
+    monkeypatch.setattr(cli, "compute_q_records", lambda *a: calls.append(a[2]) or real(*a))
+    rc, out = _survey(["--qmax", "25", "--cache-dir", cdir], capsys)
+    assert rc == 0 and calls == [23, 25]
+    assert out == _survey(["--qmax", "25"], capsys)[1]
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [
+        (errors.DomainError("undefined for this input"), 1),
+        (errors.MalformedWordError("bad letter"), 1),
+        (errors.ResourceError("guard tripped"), 3),
+        (errors.InternalInvariantError("drifted"), 4),
+    ],
+)
+def test_cli_error_exit_codes(error, code, capsys, monkeypatch):
+    from covertower import cli
+
+    def fail(_k):
+        raise error
+
+    monkeypatch.setattr(cli, "witt_cumulative", fail)
+    assert main(["witt", "3"]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_cli_resource_guard_exit_code(tmp_path, capsys, monkeypatch):
+    from covertower import pquotient
+
+    f = tmp_path / "free2.txt"
+    f.write_text("2\n")
+    monkeypatch.setattr(pquotient, "MAX_LAYER", 0)
+    assert main(["pq", str(f), "-p", "3", "--class", "3"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_cli_malformed_presentation_exit_code(tmp_path, capsys):
+    f = tmp_path / "bad.txt"
+    f.write_text("1\nab\n")
+    assert main(["pq", str(f), "-p", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

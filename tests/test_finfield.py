@@ -2,25 +2,22 @@ import random
 
 import pytest
 
-from covertower.arith import divisors
+from covertower.arith import divisors, prime_power_split
 from covertower.errors import DomainError, ParameterError
 from covertower.finfield import (
-    Mat2Algebra,
-    commutator_trace,
     element_order,
     fq_context,
-    mat2_algebra,
     mat_det,
     mat_inv,
     mat_mul,
     mat_pow,
-    mat_projective_order,
     mat_trace,
     order_k_traces,
     p1_action,
-    quadratic_extension,
 )
 from covertower.fpcore import Permutation
+from covertower.twistknot import prime_powers_up_to
+from helpers_oracle import companion_projective_order
 
 
 def test_context_moduli():
@@ -100,8 +97,7 @@ def test_semisimple_companion_matrix_has_exact_order():
             for x, semisimple in order_k_traces(ctx, k, exact=True):
                 if not semisimple:
                     continue
-                comp = (x, ctx.neg(ctx.one), ctx.one, ctx.zero)
-                assert mat_projective_order(ctx, comp) == k
+                assert companion_projective_order(ctx, x, k) == k
 
 
 def test_unipotent_branch():
@@ -116,20 +112,20 @@ def test_unipotent_branch():
 
 def test_mat2_suite():
     c7 = fq_context(7, 1)
-    alg = mat2_algebra(c7)
-    assert isinstance(alg, Mat2Algebra)
     A = (c7.one, c7.one, c7.zero, c7.one)
-    assert alg.det(A) == c7.one
-    assert alg.inverse(A) == (c7.one, c7.from_int(-1), c7.zero, c7.one)
+    assert mat_det(c7, A) == c7.one
+    assert mat_inv(c7, A) == (c7.one, c7.from_int(-1), c7.zero, c7.one)
     with pytest.raises(DomainError):
-        alg.inverse((c7.zero,) * 4)
+        mat_inv(c7, (c7.zero,) * 4)
     # power and trace
-    assert alg.trace(alg.power(A, 3)) == c7.from_int(2)
+    assert mat_trace(c7, mat_pow(c7, A, 3)) == c7.from_int(2)
+    assert mat_pow(c7, A, -2) == mat_inv(c7, mat_pow(c7, A, 2))
 
 
 def test_commutator_trace_oracle():
     """tr[A,B] for the triangular pair equals 2 + t(t + x^2 - 4), derived by
-    direct expansion; checked on random F_7 samples."""
+    direct expansion, and factors as 2 + (y - 2)(y - x^2 + 2) in y = tr AB;
+    checked on random F_7 samples."""
     c7 = fq_context(7, 1)
     rng = random.Random(3)
     for _ in range(30):
@@ -138,13 +134,17 @@ def test_commutator_trace_oracle():
         A = (s, c7.one, c7.zero, c7.inv(s))
         B = (s, c7.zero, t, c7.inv(s))
         x = c7.add(s, c7.inv(s))
-        got = commutator_trace(c7, A, B)
+        AB = mat_mul(c7, A, B)
+        got = mat_trace(c7, mat_mul(c7, AB, mat_mul(c7, mat_inv(c7, A), mat_inv(c7, B))))
         xx = c7.mul(x, x)
         want = c7.add(
             c7.from_int(2),
             c7.mul(t, c7.add(t, c7.sub(xx, c7.from_int(4)))),
         )
         assert got == want
+        y = mat_trace(c7, AB)
+        two = c7.from_int(2)
+        assert got == c7.add(two, c7.mul(c7.sub(y, two), c7.add(c7.sub(y, xx), two)))
 
 
 def test_p1_action_examples():
@@ -176,13 +176,14 @@ def _random_invertible(ctx, rng):
             return M
 
 
-def test_quadratic_extension_embedding():
-    for p, m in [(5, 1), (3, 2), (2, 3)]:
-        ctx = fq_context(p, m)
-        ctx2, emb = quadratic_extension(ctx)
-        assert ctx2.q == ctx.q**2
-        for i in range(min(ctx.q, 30)):
-            for j in range(min(ctx.q, 30)):
-                a, b = ctx.elem(i), ctx.elem(j)
-                assert emb[ctx.mul(a, b)] == ctx2.mul(emb[a], emb[b])
-                assert emb[ctx.add(a, b)] == ctx2.add(emb[a], emb[b])
+def test_order_k_traces_match_companion_powering():
+    """Chebyshev trace sets against brute-force powering of the companion
+    matrix, for every x in F_q, q <= 64, and projective orders 2..7."""
+    for q in prime_powers_up_to(64):
+        ctx = fq_context(*prime_power_split(q))
+        sets = {k: order_k_traces(ctx, k, exact=True) for k in range(2, 8)}
+        unipotent = (ctx.from_int(2), ctx.from_int(-2))
+        for x in ctx.elements():
+            order = companion_projective_order(ctx, x, 7)
+            for k, traces in sets.items():
+                assert ((x, x not in unipotent) in traces) == (order == k), (q, x, k)

@@ -3,7 +3,16 @@ import random
 import pytest
 
 from covertower.errors import ParameterError
-from covertower.finfield import fq_context, p1_action, psl2_order
+from covertower.arith import prime_power_split
+from covertower.finfield import (
+    fq_context,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    mat_trace,
+    p1_action,
+    psl2_order,
+)
 from covertower.fpcore import (
     abelianization,
     orbit_and_transversal,
@@ -14,7 +23,8 @@ from covertower.twistknot import (
     HYPERBOLIC_SPECS,
     twist_relators,
     OrbifoldSpec,
-    build_rep,
+    _relator_holds,
+    _relator_in_y,
     canonical_meridian_order,
     conjugate_to_base_field,
     cover_betti,
@@ -22,7 +32,11 @@ from covertower.twistknot import (
     prime_powers_up_to,
     twist_presentation,
 )
-from helpers_oracle import BrutePSL2, brute_epimorphism_classes, oracle_cover_betti
+from helpers_oracle import (
+    brute_epimorphism_classes,
+    oracle_cover_betti,
+    word_is_scalar,
+)
 
 
 def test_allowlist():
@@ -63,14 +77,54 @@ def test_canonical_meridian_order():
     assert canonical_meridian_order(5, 5) == 5
 
 
-def test_build_rep_rejections():
+def _irreducible_trace_pairs(ctx):
+    """Every (x, y) over F_q with t = y - x^2 + 2 != 0 and y != 2."""
+    two = ctx.from_int(2)
+    for x in ctx.elements():
+        shift = ctx.sub(ctx.mul(x, x), two)
+        for y in ctx.elements():
+            if y != two and y != shift:
+                yield x, y
+
+
+def test_reducible_candidates_rejected():
+    """The base-field pair of (x, y) is reducible (commutator trace 2)
+    exactly at t = 0 and y = 2, the two values the enumerator skips, and
+    no class carries them."""
     spec = OrbifoldSpec(2, 3)
     ctx = fq_context(7, 1)
-    (x, _), = [t for t in order_traces(ctx, 3) if t[0] == (1,)]
-    assert build_rep(spec, ctx, x, ctx.zero) == "reducible: t = 0"
-    xx = ctx.mul(x, x)
-    bad = ctx.sub(ctx.from_int(4), xx)
-    assert build_rep(spec, ctx, x, bad) == "reducible: t = 4 - x^2"
+    two = ctx.from_int(2)
+    irreducible = set(_irreducible_trace_pairs(ctx))
+    for x, _ in order_traces(ctx, 3):
+        for t in ctx.elements():
+            y = ctx.add(ctx.sub(ctx.mul(x, x), two), t)
+            if (x, y) not in irreducible:
+                assert t == ctx.zero or y == two
+                continue
+            A0, B0 = conjugate_to_base_field(ctx, x, y)
+            inverses = mat_mul(ctx, mat_inv(ctx, A0), mat_inv(ctx, B0))
+            comm = mat_mul(ctx, mat_mul(ctx, A0, B0), inverses)
+            assert mat_trace(ctx, comm) != two
+    for c in enumerate_epimorphisms(spec, 7):
+        assert c.t != ctx.zero and c.y != two
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 25, 27])
+def test_relator_polynomials_match_matrix_relator(q):
+    """For every irreducible (x, y) over F_q and every twist n, the relator
+    polynomials vanish exactly when the relator word, multiplied out on
+    conjugate_to_base_field's pair, is +-1."""
+    ctx = fq_context(*prime_power_split(q))
+    twists = sorted({n for n, _ in HYPERBOLIC_SPECS})
+    polys = {(n, x): _relator_in_y(ctx, n, x) for n in twists for x in ctx.elements()}
+    hits = 0
+    for x, y in _irreducible_trace_pairs(ctx):
+        A0, B0 = conjugate_to_base_field(ctx, x, y)
+        for n in twists:
+            want = word_is_scalar(ctx, twist_relators(n, 3)[2], A0, B0)
+            assert _relator_holds(ctx, polys[n, x], y) == want, (n, x, y)
+            hits += want
+    assert hits
 
 
 def order_traces(ctx, k):
@@ -104,8 +158,6 @@ def test_accepted_set_matches_brute_force_2_3_q5():
     ],
 )
 def test_class_counts_match_brute_force(n, k, q):
-    from covertower.arith import prime_power_split
-
     spec = OrbifoldSpec(n, k)
     ctx = fq_context(*prime_power_split(q))
     classes = enumerate_epimorphisms(spec, q)
@@ -202,20 +254,15 @@ def test_schreier_generator_count_in_cover():
 
 
 def test_conjugate_to_base_field_preserves_traces():
-    from covertower.finfield import mat_det, mat_mul, mat_trace
-
-    spec = OrbifoldSpec(2, 3)
-    ctx = fq_context(7, 1)
-    for x, _ in order_traces(ctx, 3):
-        for ti in range(1, 7):
-            cand = build_rep(spec, ctx, x, ctx.elem(ti))
-            if isinstance(cand, str):
-                continue
-            A0, B0 = conjugate_to_base_field(cand, ctx)
-            assert mat_trace(ctx, A0) == cand.x
-            assert mat_trace(ctx, B0) == cand.x
+    for q in (7, 8, 9):
+        ctx = fq_context(*prime_power_split(q))
+        for x, y in _irreducible_trace_pairs(ctx):
+            A0, B0 = conjugate_to_base_field(ctx, x, y)
+            assert mat_trace(ctx, A0) == x
+            assert mat_trace(ctx, B0) == x
+            assert mat_det(ctx, A0) == ctx.one
             assert mat_det(ctx, B0) == ctx.one
-            assert mat_trace(ctx, mat_mul(ctx, A0, B0)) == cand.y
+            assert mat_trace(ctx, mat_mul(ctx, A0, B0)) == y
 
 
 def test_prime_powers_up_to():
