@@ -6,8 +6,8 @@ configuration (exact_k, proxy_prime, second_prime).  Class records belong
 to the marker that closes their append, so records of a crashed append
 are never served, and neither are records computed under another
 configuration.  Lines written under another schema version are skipped
-(their keys recompute); lines that fail to parse are quarantined to a side
-file and their keys recomputed.  Records come back without the cache's
+(their keys recompute); lines that fail to parse are moved to a side file,
+once, and their keys recomputed.  Records come back without the cache's
 own fields, exactly as they were appended.
 """
 
@@ -53,9 +53,11 @@ def read_cache(path: str, config=DEFAULT_CONFIG):
     """Returns (done: dict (n,k,q) -> class count, records: list, bad: int)
     for the keys finished under `config`.
 
-    Unparseable lines are appended to `<path>.quarantine` and dropped.
+    Unparseable lines are appended to `<path>.quarantine` and the cache is
+    rewritten without them, so each is quarantined once.
     """
     done = {}
+    good_lines = []
     bad_lines = []
     if not os.path.exists(path):
         return {}, [], 0
@@ -70,6 +72,7 @@ def read_cache(path: str, config=DEFAULT_CONFIG):
             try:
                 obj = json.loads(line)
                 if obj.get("schema") != SCHEMA_VERSION:
+                    good_lines.append(line)
                     continue
                 kind = obj["kind"]
                 key = (obj["n"], obj["k"], obj["q"])
@@ -84,12 +87,20 @@ def read_cache(path: str, config=DEFAULT_CONFIG):
                         done[key] = mine[len(mine) - count:]
                 else:
                     raise ValueError("unknown record kind")
+                good_lines.append(line)
             except (ValueError, KeyError, TypeError, AttributeError):
                 bad_lines.append(line)
     if bad_lines:
         with open(path + ".quarantine", "a", encoding="utf-8") as fh:
             for line in bad_lines:
                 fh.write(line + "\n")
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for line in good_lines:
+                fh.write(line + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
     records = [
         {f: v for f, v in r.items() if f not in _CACHE_FIELDS}
         for recs in done.values()

@@ -16,7 +16,7 @@ import os
 import sys
 
 from .arith import is_prime
-from .cache import append_q_records, cache_path, cache_resume, read_cache
+from .cache import append_q_records, cache_path, read_cache
 from .errors import (
     DomainError,
     InternalInvariantError,
@@ -151,9 +151,9 @@ def _run_survey(args) -> int:
     path = None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        plan = cache_resume(cache_dir, plan, config)
         path = cache_path(cache_dir, spec.n, spec.k)
-        _, cached, _ = read_cache(path, config)
+        done, cached, _ = read_cache(path, config)
+        plan = [item for item in plan if item not in done]
         records.extend(cached)
     tasks = [
         (spec.n, spec.k, q, args.proxy_prime, args.second_prime, args.exact_k)

@@ -1,9 +1,24 @@
 """Exact rank of sparse matrices over a prime field.
 
-Elimination keeps rows as dicts and picks pivots by a Markowitz-style cost
-(fill minimization); once the live block is small or has filled in, the
-remainder is handed to a dense numpy elimination.
+Elimination keeps the live rows as dicts keyed by their original index and
+picks pivots by a Markowitz-style cost (fill minimization): the shortest
+row, lowest index first, then its rarest column, lowest index first.
+
+A column index makes each pivot cost only the rows it touches: each column
+keeps a list of the rows that may hold it, the live counts sit in
+`col_count`, buckets of row ids sorted by id, one per row length, give
+the pivot row, and the non-zero count is kept up to date.  Ids that went
+stale in a list or a bucket are skipped on reading.  On each pivot only
+the rows in the pivot column's list are eliminated.
+
+Once the live block is at most _DENSE_DIM square, or its fill exceeds
+_DENSE_FILL, the remainder is copied into a numpy block, the sparse rows
+and the index are dropped, and a dense elimination finishes.  The pivots,
+and so the dense block, depend only on the matrix, not on how the rows are
+indexed.
 """
+
+from bisect import insort
 
 import numpy as np
 
@@ -53,23 +68,23 @@ class SparseMatModP:
 
 def rank_dense_mod_p(a: np.ndarray, p: int) -> int:
     """Gaussian elimination rank of an int64 array mod p (a is consumed)."""
-    a = np.ascontiguousarray(a % p)
+    a = np.ascontiguousarray(a)
+    a %= p  # in place, so that no second copy of the block is held
     m, n = a.shape
     rank = 0
     for col in range(n):
-        piv = None
-        colvals = a[rank:, col]
-        nz = np.nonzero(colvals)[0]
+        nz = np.nonzero(a[rank:, col])[0]
         if nz.size == 0:
             continue
         piv = rank + int(nz[0])
         if piv != rank:
             a[[rank, piv]] = a[[piv, rank]]
         inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = a[rank] * inv % p
+        # rows from `rank` down are zero left of `col`
+        a[rank, col:] = a[rank, col:] * inv % p
         rest = nz[1:] + rank
         if rest.size:
-            a[rest] = (a[rest] - np.outer(a[rest, col], a[rank])) % p
+            a[rest, col:] = (a[rest, col:] - np.outer(a[rest, col], a[rank, col:])) % p
         rank += 1
         if rank == m:
             break
@@ -79,63 +94,78 @@ def rank_dense_mod_p(a: np.ndarray, p: int) -> int:
 def sparse_rank_mod_p(mat: SparseMatModP) -> int:
     """Deterministic rank over F_p."""
     p = mat.p
-    rows = [r for r in mat.row_dicts() if r]
-    rank = 0
+    rows = {i: r for i, r in enumerate(mat.row_dicts()) if r}
     col_count = {}
-    for r in rows:
+    col_rows = {}  # column -> ids of rows that held it at some point
+    by_len = {}  # length -> sorted ids of rows that had it
+    nnz = 0
+    for i, r in rows.items():
+        nnz += len(r)
+        by_len.setdefault(len(r), []).append(i)
         for c in r:
             col_count[c] = col_count.get(c, 0) + 1
+            col_rows.setdefault(c, []).append(i)
+    rank = 0
     while rows:
         live_cols = len(col_count)
-        nnz = sum(len(r) for r in rows)
         if (
             len(rows) <= _DENSE_DIM
             and live_cols <= _DENSE_DIM
             or nnz > _DENSE_FILL * len(rows) * max(live_cols, 1)
         ):
-            return rank + _finish_dense(rows, col_count, p)
+            cmap = {c: j for j, c in enumerate(sorted(col_count))}
+            a = np.zeros((len(rows), len(cmap)), dtype=np.int64)
+            for k, r in enumerate(rows.values()):
+                for c, v in r.items():
+                    a[k, cmap[c]] = v
+            del rows, col_rows, by_len  # freed before the dense peak
+            return rank + rank_dense_mod_p(a, p)
         # Markowitz-style pivot: shortest row, then rarest column inside it
-        pi = min(range(len(rows)), key=lambda i: (len(rows[i]), i))
-        prow = rows.pop(pi)
+        while True:
+            length = min(by_len)
+            bucket = by_len[length]
+            while bucket and len(rows.get(bucket[0], ())) != length:
+                del bucket[0]
+            if bucket:
+                break
+            del by_len[length]
+        prow = rows.pop(bucket.pop(0))
+        nnz -= length
         pc = min(prow, key=lambda c: (col_count[c], c))
         rank += 1
-        inv = pow(prow[pc], p - 2, p)
-        prow = {c: v * inv % p for c, v in prow.items()}
-        for c in prow:
+        inv = pow(prow.pop(pc), p - 2, p)
+        prow = [(c, v * inv % p) for c, v in prow.items()]
+        del col_count[pc]
+        for c, _ in prow:
             col_count[c] -= 1
             if not col_count[c]:
                 del col_count[c]
-        out = []
-        for r in rows:
-            f = r.get(pc)
-            if f is None:
-                out.append(r)
+        for i in col_rows.pop(pc):
+            r = rows.get(i)
+            if r is None or pc not in r:
                 continue
-            for c in r:
-                col_count[c] -= 1
-            new = dict(r)
-            for c, v in prow.items():
-                w = (new.get(c, 0) - f * v) % p
-                if w:
-                    new[c] = w
-                else:
-                    new.pop(c, None)
-            if new:
-                for c in new:
+            before = len(r)
+            f = r.pop(pc)
+            for c, v in prow:
+                old = r.get(c)
+                if old is None:
+                    r[c] = -f * v % p
                     col_count[c] = col_count.get(c, 0) + 1
-                out.append(new)
-        for c in list(col_count):
-            if col_count[c] <= 0:
-                del col_count[c]
-        rows = out
+                    col_rows[c].append(i)
+                else:
+                    w = (old - f * v) % p
+                    if w:
+                        r[c] = w
+                    else:
+                        del r[c]
+                        col_count[c] -= 1
+                        if not col_count[c]:
+                            del col_count[c]
+            after = len(r)
+            nnz += after - before
+            if not after:
+                del rows[i]
+            elif after != before:
+                insort(by_len.setdefault(after, []), i)
     return rank
 
-
-def _finish_dense(rows, col_count, p) -> int:
-    cols = sorted(col_count)
-    cmap = {c: j for j, c in enumerate(cols)}
-    a = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for i, r in enumerate(rows):
-        for c, v in r.items():
-            a[i, cmap[c]] = v
-    return rank_dense_mod_p(a, p)

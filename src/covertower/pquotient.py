@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .arith import divisors, is_prime, moebius
-from .errors import InternalInvariantError, ParameterError, ResourceError
+from .errors import DomainError, InternalInvariantError, ParameterError, ResourceError
 from .fpcore.snf import abelianization
 from .fpcore.words import Presentation
 
@@ -40,7 +40,6 @@ class PcGroup:
     power: dict = field(default_factory=dict)
     comm: dict = field(default_factory=dict)
     definitions: dict = field(default_factory=dict)
-    consistent: bool = True
 
     def __post_init__(self):
         self._inv_cache = {}
@@ -143,12 +142,6 @@ class PcGroup:
 
     def mult_expo(self, t1, t2):
         return self.expo_of(self.mult(self.word_of(t1), self.word_of(t2)))
-
-    def layer_sizes(self):
-        out = {}
-        for wgt in self.weights:
-            out[wgt] = out.get(wgt, 0) + 1
-        return [out.get(c, 0) for c in range(1, max(out, default=0) + 1)]
 
 
 @dataclass(frozen=True)
@@ -258,7 +251,6 @@ def _build_cover(G: PcGroup, K: int):
         power={},
         comm={},
         definitions=dict(G.definitions),
-        consistent=False,
     )
     for idx, tail in enumerate(tails):
         tg = n + 1 + idx
@@ -378,7 +370,6 @@ def _eliminate(cover: PcGroup, tails, vectors, K: int):
         power={},
         comm={},
         definitions=dict(cover.definitions),
-        consistent=True,
     )
     for i, w in cover.power.items():
         sw = substitute(w)
@@ -398,12 +389,15 @@ def p_quotient(pres: Presentation, p: int, max_class: int):
     """Maximal quotient of exponent-p class <= max_class, with layer ranks.
 
     Returns (PcGroup, LayerRanks).  The rank list ends with a 0 exactly
-    when the series stabilized before max_class.
+    when the series stabilized before max_class.  At p = 2 only class <= 2
+    is supported: from class 3 the consistency conditions are incomplete.
     """
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
     if not 1 <= max_class <= MAX_CLASS:
         raise ParameterError(f"class bound outside 1..{MAX_CLASS}")
+    if p == 2 and max_class > 2:
+        raise DomainError("p = 2 is supported up to class 2 only")
     G, theta, d1 = _class_one(pres, p)
     ranks = [d1]
     if d1 == 0:

@@ -159,20 +159,6 @@ def quat_pow(g: QuatElem, e: int) -> QuatElem:
     return out
 
 
-class QuatAlgebra:
-    """Operation suite (spec surface)."""
-
-    mul = staticmethod(lambda g, h: g * h)
-    conj = staticmethod(lambda g: g.conj())
-    reduced_norm = staticmethod(lambda g: g.reduced_norm())
-    reduced_trace = staticmethod(lambda g: g.reduced_trace())
-    unit_inverse = staticmethod(lambda g: g.unit_inverse())
-
-
-def quat_algebra() -> QuatAlgebra:
-    return QuatAlgebra()
-
-
 # --- the maximal order <1, i, (i+j)/2, (1+ij)/2> ----------------------------
 
 E_S = QuatElem(K_ZERO, KElem.of(Fraction(1, 2)), KElem.of(Fraction(1, 2)), K_ZERO)

@@ -519,39 +519,3 @@ def aggregate_records(n, k, q_max, records, proxy_prime, second_prime, exact_k):
         exceptional_norms=canonical_norms,
         flagged_positive_norms=flagged_only,
     )
-
-
-def survey(
-    spec: OrbifoldSpec,
-    q_max: int,
-    proxy_prime: int = 31991,
-    second_prime: int = None,
-    exact_k: bool = False,
-    tasks: int = 1,
-    progress=None,
-) -> SurveyReport:
-    """Run the full desk-scale survey for one orbifold (no caching here;
-    the CLI layers caching and resume on top)."""
-    if q_max < 2:
-        raise ParameterError("q_max must be at least 2")
-    qs = prime_powers_up_to(q_max)
-    records = []
-    if tasks > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(tasks) as pool:
-            argss = [
-                (spec.n, spec.k, q, proxy_prime, second_prime, exact_k) for q in qs
-            ]
-            for part in pool.starmap(compute_q_records, argss):
-                records.extend(part)
-    else:
-        for q in qs:
-            records.extend(
-                compute_q_records(spec.n, spec.k, q, proxy_prime, second_prime, exact_k)
-            )
-            if progress:
-                progress(q)
-    return aggregate_records(
-        spec.n, spec.k, q_max, records, proxy_prime, second_prime, exact_k
-    )

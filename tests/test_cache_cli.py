@@ -183,6 +183,32 @@ def test_cli_survey_json_warm_equals_fresh(tmp_path, capsys):
     assert fresh.read_bytes() == warm.read_bytes()
 
 
+def test_cli_survey_quarantines_each_bad_line_once(tmp_path, capsys):
+    """A garbage line in the cache is quarantined once, not on every run,
+    and the report stays byte-identical to a fresh one."""
+    cdir = str(tmp_path / "cache")
+    fresh, warm = tmp_path / "fresh.json", tmp_path / "warm.json"
+    assert _survey(["--qmax", "7", "--format", "json", "--output", str(fresh)], capsys)[0] == 0
+    assert _survey(["--qmax", "7", "--cache-dir", cdir], capsys)[0] == 0
+    path = cache_path(cdir, 4, 4)
+    with open(path, "a") as fh:
+        fh.write("{garbage\n")
+    for _ in range(3):
+        assert _survey(["--qmax", "7", "--cache-dir", cdir, "--format", "json",
+                        "--output", str(warm)], capsys)[0] == 0
+        assert fresh.read_bytes() == warm.read_bytes()
+    with open(path + ".quarantine") as fh:
+        assert fh.read() == "{garbage\n"
+
+
+def test_cli_pq_refuses_p2_beyond_class2(tmp_path, capsys):
+    f = tmp_path / "free2.txt"
+    f.write_text("2\n")
+    assert main(["pq", str(f), "-p", "2", "--class", "3"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_cli_survey_cache_keyed_by_config(tmp_path, capsys):
     """Records computed without --exact-k are not served to an --exact-k
     run (or under another proxy prime) from the same cache directory."""

@@ -1,6 +1,6 @@
 import pytest
 
-from covertower.errors import ParameterError
+from covertower.errors import DomainError, ParameterError
 from covertower.fpcore import Presentation
 from covertower.pquotient import (
     LayerRanks,
@@ -66,6 +66,14 @@ def test_p_quotient_free_group_class2():
     assert list(ranks) == [2, 3]
     assert G.order() == 3**5
     assert consistency_check(G)
+
+
+def test_p2_refused_beyond_class2():
+    _, ranks = p_quotient(F2, 2, 2)
+    assert list(ranks) == [2, 3]
+    for c in (3, 4):
+        with pytest.raises(DomainError):
+            p_quotient(F2, 2, c)
 
 
 @pytest.mark.parametrize("p", [3, 5])

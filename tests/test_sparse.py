@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from covertower.errors import ParameterError
-from covertower.fpcore import SparseMatModP, rank_dense_mod_p, sparse_rank_mod_p
+from covertower.fpcore import SparseMatModP, rank_dense_mod_p, sparse, sparse_rank_mod_p
 
 
 def test_identity_rank():
@@ -49,6 +49,99 @@ def test_random_ranks_match_numpy_reference(p):
         want = _reference_rank(mat.to_dense(), p)
         assert sparse_rank_mod_p(mat) == want
         assert rank_dense_mod_p(mat.to_dense(), p) == want
+
+
+def _block_diagonal(p, seed):
+    """Block-diagonal sum of small random blocks, rows and columns permuted.
+
+    Returns the triples, the shape and the expected rank (the sum of the
+    blocks' reference ranks).  Non-zero rows hold 3-4 entries, so pivots
+    fill in; some blocks are zero and some repeat a row, scaled."""
+    rng = random.Random(seed)
+    triples, want, nrows, ncols = [], 0, 0, 0
+    while nrows <= 600:
+        m = rng.randint(3, 10)
+        n = rng.randint(m, 10)
+        block = np.zeros((m, n), dtype=np.int64)
+        if rng.random() >= 0.1:
+            for i in range(m):
+                for j in rng.sample(range(n), rng.randint(3, min(4, n))):
+                    block[i, j] = rng.randint(1, p - 1)
+            block[rng.randrange(m)] = block[rng.randrange(m)] * rng.randint(1, p - 1)
+        want += _reference_rank(block % p, p)
+        for i, j in zip(*np.nonzero(block)):
+            triples.append((nrows + int(i), ncols + int(j), int(block[i, j])))
+        nrows, ncols = nrows + m, ncols + n
+    rperm, cperm = list(range(nrows)), list(range(ncols))
+    rng.shuffle(rperm)
+    rng.shuffle(cperm)
+    triples = [(rperm[r], cperm[c], v) for r, c, v in triples]
+    return triples, (nrows, ncols), want
+
+
+def _reference_dense_block(mat):
+    """The elimination loop without the column index: every pivot scans all
+    rows.  Returns the rank found before the dense switch and the dense
+    block handed on, which the indexed loop must reproduce exactly."""
+    p = mat.p
+    rows = [r for r in mat.row_dicts() if r]
+    rank = 0
+    while rows:
+        counts = {}
+        for r in rows:
+            for c in r:
+                counts[c] = counts.get(c, 0) + 1
+        nnz = sum(len(r) for r in rows)
+        if (
+            len(rows) <= sparse._DENSE_DIM
+            and len(counts) <= sparse._DENSE_DIM
+            or nnz > sparse._DENSE_FILL * len(rows) * max(len(counts), 1)
+        ):
+            cols = sorted(counts)
+            a = np.zeros((len(rows), len(cols)), dtype=np.int64)
+            for i, r in enumerate(rows):
+                for c, v in r.items():
+                    a[i, cols.index(c)] = v
+            return rank, a
+        pi = min(range(len(rows)), key=lambda i: (len(rows[i]), i))
+        prow = rows.pop(pi)
+        pc = min(prow, key=lambda c: (counts[c], c))
+        rank += 1
+        inv = pow(prow[pc], p - 2, p)
+        out = []
+        for r in rows:
+            f = r.get(pc)
+            if f is not None:
+                r = {c: (r.get(c, 0) - f * inv * prow.get(c, 0)) % p for c in set(r) | set(prow)}
+                r = {c: v for c, v in r.items() if v}
+            if r:
+                out.append(r)
+        rows = out
+    return rank, None
+
+
+@pytest.mark.parametrize("p", [2, 5, 31991])
+def test_sparse_elimination_on_block_diagonal(p, monkeypatch):
+    blocks = []
+    real = sparse.rank_dense_mod_p
+
+    def spy(a, q):
+        blocks.append(a.copy())
+        return real(a, q)
+
+    monkeypatch.setattr(sparse, "rank_dense_mod_p", spy)
+    for seed in range(3):
+        triples, (m, n), want = _block_diagonal(p, f"{p}-{seed}")
+        mat = SparseMatModP(m, n, p, triples)
+        assert len({r for r, _ in mat.entries}) > 400  # too tall to start dense
+        entries = dict(mat.entries)
+        blocks.clear()
+        assert sparse_rank_mod_p(mat) == want
+        assert mat.entries == entries
+        # same pivots as the unindexed loop, so the same dense block
+        rank, block = _reference_dense_block(mat)
+        assert block is not None and rank > 0
+        assert len(blocks) == 1 and np.array_equal(blocks[0], block)
 
 
 def _reference_rank(a, p):
