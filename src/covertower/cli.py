@@ -24,6 +24,7 @@ from .errors import (
     ParameterError,
     ResourceError,
 )
+from .fpcore.sparse import DENSE_MODULUS_BOUND
 from .fpcore.words import parse_presentation
 from .pquotient import (
     dk_series_and_classify,
@@ -130,13 +131,19 @@ def _q_task(task):
     return task[2], compute_q_records(*task)
 
 
+def _check_proxy_primes(*primes):
+    for prime in primes:
+        if prime is None:
+            continue
+        if not is_prime(prime):
+            raise ParameterError(f"proxy prime {prime} is not prime")
+        if prime >= DENSE_MODULUS_BOUND:
+            raise ParameterError(f"proxy prime {prime} is not below 2^31")
+
+
 def _run_survey(args) -> int:
     spec = OrbifoldSpec(args.n, args.k)
-    if not is_prime(args.proxy_prime) or (
-        args.second_prime is not None and not is_prime(args.second_prime)
-    ):
-        print("error: proxy primes must be prime", file=sys.stderr)
-        return 1
+    _check_proxy_primes(args.proxy_prime, args.second_prime)
     if args.qmax < 2:
         print("error: --qmax must be >= 2", file=sys.stderr)
         return 1
@@ -222,6 +229,7 @@ def _run_survey(args) -> int:
 
 def _run_cover(args) -> int:
     spec = OrbifoldSpec(args.n, args.k)
+    _check_proxy_primes(args.proxy_prime)
     classes = enumerate_epimorphisms(spec, args.q, exact_k=args.exact_k)
     for epi in classes:
         rec = cover_betti(epi, args.proxy_prime)

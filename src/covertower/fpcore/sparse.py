@@ -27,6 +27,9 @@ from ..arith import is_prime
 
 _DENSE_DIM = 400
 _DENSE_FILL = 0.18
+# the dense elimination multiplies two residues in int64: below 2^31 each,
+# their product stays below 2^62
+DENSE_MODULUS_BOUND = 2**31
 
 
 class SparseMatModP:
@@ -67,7 +70,10 @@ class SparseMatModP:
 
 
 def rank_dense_mod_p(a: np.ndarray, p: int) -> int:
-    """Gaussian elimination rank of an int64 array mod p (a is consumed)."""
+    """Gaussian elimination rank of an int64 array mod p (a is consumed);
+    p must be below DENSE_MODULUS_BOUND."""
+    if p >= DENSE_MODULUS_BOUND:
+        raise ParameterError(f"modulus {p} is not below 2^31")
     a = np.ascontiguousarray(a)
     a %= p  # in place, so that no second copy of the block is held
     m, n = a.shape

@@ -3,21 +3,31 @@ rational-homology-sphere exhaustion checker.
 
 The p-quotient engine computes, class by class, the maximal quotient of
 exponent-p class <= c of a finitely presented group: extend the current
-consistent power-commutator presentation by central tails, enforce
-consistency by collection of associativity overlaps, impose the images of
-the defining relators, and eliminate dead tails by linear algebra over F_p.
+consistent power-commutator presentation by central tails (on its
+non-defining relations and on the images of the original generators that
+define no pc generator), enforce consistency by collection of
+associativity overlaps, impose the images of the defining relators, and
+eliminate dead tails by linear algebra over F_p.
 
-Normal forms are words a_1^e1 ... a_n^en with 0 <= e_i < p; collection is
-from the left with weight-bounded truncation.  Generator numbering is
-always weight-monotone, so power and commutator right-hand sides only
-involve strictly larger generator indices and collection terminates.
+Normal forms are words a_1^e1 ... a_n^en with 0 <= e_i < p.  Collection
+is from the left on an exponent vector: the collected prefix is a vector
+of exponents and the blocks still to multiply in sit on a stack.
+Generator numbering is always weight-monotone, so power and commutator
+right-hand sides only involve strictly larger generator indices and
+collection terminates.
+
+The tails of a cover are central of exponent p, and both sides of an
+associativity overlap collect to normal words with the same non-tail
+part, so each consistency relation is the difference of the two tail
+exponent vectors mod p; no inverse is collected.
 """
 
 from dataclasses import dataclass, field
+from itertools import compress
 from math import gcd
 
 from .arith import divisors, is_prime, moebius
-from .errors import DomainError, InternalInvariantError, ParameterError, ResourceError
+from .errors import InternalInvariantError, ParameterError, ResourceError
 from .fpcore.snf import abelianization
 from .fpcore.words import Presentation
 
@@ -52,42 +62,54 @@ class PcGroup:
 
     # --- collection -------------------------------------------------------
     def collect(self, blocks):
-        """Normal form of a product of generator-power blocks (exponents
-        must be nonnegative; inverses go through `inverse`)."""
-        p = self.p
-        w = [(g, e) for g, e in blocks if e]
-        if any(e < 0 for _, e in w):
-            raise ParameterError("collection expects nonnegative exponents")
-        i = 0
-        while i < len(w):
-            g, e = w[i]
-            if i + 1 < len(w) and w[i + 1][0] == g:
-                e += w[i + 1][1]
-                del w[i + 1]
-                w[i] = (g, e)
+        """Normal form of a product of generator-power blocks, collected
+        from the left (exponents must be nonnegative; inverses go through
+        `inverse`).
+
+        ev[1..n] holds the collected prefix and `stack` the blocks still to
+        multiply in, the next one on top.  A block a_g^e with nothing above
+        g in the prefix is added to ev[g]; each full p-th power becomes the
+        word power[g].  Otherwise the part T of the prefix above g is taken
+        out and a_g, then T conjugated by a_g (a_h -> a_h comm[(h, g)]),
+        then a_g^(e-1) are multiplied in.
+        """
+        p, power, comm = self.p, self.power, self.comm
+        stack = []
+        for g, e in reversed(blocks):
+            if e < 0:
+                raise ParameterError("collection expects nonnegative exponents")
+            if e:
+                stack.append((g, e))
+        ev = [0] * (self.ngens + 1)
+        top = 0  # ev is zero above index `top`
+        while stack:
+            g, e = stack.pop()
+            while top > g and not ev[top]:
+                top -= 1
+            if top <= g:
+                e += ev[g]
+                if e >= p:
+                    q, e = divmod(e, p)
+                    pw = power.get(g)
+                    if pw:
+                        stack.extend(pw[::-1] * q)
+                ev[g] = e
+                top = g
                 continue
-            if e >= p:
-                pw = self.power.get(g, ())
-                repl = ([(g, e - p)] if e > p else []) + list(pw)
-                w[i : i + 1] = repl
-                i = max(i - 1, 0)
-                continue
-            if i + 1 < len(w) and w[i + 1][0] < g:
-                h, f = w[i + 1]
-                c = self.comm.get((g, h), ())
-                seg = []
-                if e > 1:
-                    seg.append((g, e - 1))
-                seg.append((h, 1))
-                seg.append((g, 1))
-                seg.extend(c)
-                if f > 1:
-                    seg.append((h, f - 1))
-                w[i : i + 2] = seg
-                i = max(i - 1, 0)
-                continue
-            i += 1
-        return tuple(b for b in w if b[1])
+            if e > 1:
+                stack.append((g, e - 1))
+            for h in range(top, g, -1):
+                f = ev[h]
+                if f:
+                    ev[h] = 0
+                    c = comm.get((h, g))
+                    if c:
+                        stack.extend((c[::-1] + ((h, 1),)) * f)
+                    else:
+                        stack.append((h, f))
+            stack.append((g, 1))
+            top = g
+        return tuple(compress(enumerate(ev), ev))
 
     def mult(self, u, v):
         return self.collect(list(u) + list(v))
@@ -123,25 +145,6 @@ class PcGroup:
             base = self.mult(base, base)
             e >>= 1
         return out
-
-    # --- element-level helpers (used by brute-force oracles) ---------------
-    def elements(self):
-        """All exponent tuples, lexicographic."""
-        from itertools import product
-
-        return product(range(self.p), repeat=self.ngens)
-
-    def word_of(self, expo):
-        return tuple((i + 1, e) for i, e in enumerate(expo) if e)
-
-    def expo_of(self, word):
-        out = [0] * self.ngens
-        for g, e in word:
-            out[g - 1] = e
-        return tuple(out)
-
-    def mult_expo(self, t1, t2):
-        return self.expo_of(self.mult(self.word_of(t1), self.word_of(t2)))
 
 
 @dataclass(frozen=True)
@@ -218,15 +221,22 @@ def _class_one(pres: Presentation, p: int):
                 if c:
                     word.append((gen_of_col[f], c))
             theta[j + 1] = tuple(sorted(word))
-    G = PcGroup(p=p, ngens=d1, weights=[1] * d1)
+    G = PcGroup(
+        p=p,
+        ngens=d1,
+        weights=[1] * d1,
+        definitions={g: ("img", j + 1) for j, g in gen_of_col.items()},
+    )
     return G, theta, d1
 
 
-def _build_cover(G: PcGroup, K: int):
+def _build_cover(G: PcGroup, K: int, theta):
     """Add a central elementary tail to every non-defining relation with
-    weight sum <= K.  Returns the cover group plus tail bookkeeping."""
+    weight sum <= K, and to the image theta[j] of every original generator
+    that defines no pc generator.  Returns the cover group, the tail
+    bookkeeping and the images in the cover."""
     p, n = G.p, G.ngens
-    tails = []  # (kind, data) per tail, kind in {"pow", "comm"}
+    tails = []  # (kind, data) per tail, kind in {"pow", "comm", "img"}
     power = {i: list(G.power.get(i, ())) for i in range(1, n + 1)}
     comm = {key: list(w) for key, w in G.comm.items()}
     defined = set()
@@ -243,6 +253,7 @@ def _build_cover(G: PcGroup, K: int):
             if ("comm", j, i) in defined:
                 continue
             tails.append(("comm", j, i))
+    tails.extend(("img", j) for j in sorted(theta) if ("img", j) not in defined)
     T = len(tails)
     cover = PcGroup(
         p=p,
@@ -252,27 +263,37 @@ def _build_cover(G: PcGroup, K: int):
         comm={},
         definitions=dict(G.definitions),
     )
+    theta = dict(theta)
     for idx, tail in enumerate(tails):
         tg = n + 1 + idx
         if tail[0] == "pow":
             i = tail[1]
             power[i] = power.get(i, []) + [(tg, 1)]
-        else:
+        elif tail[0] == "comm":
             _, j, i = tail
             comm[(j, i)] = comm.get((j, i), []) + [(tg, 1)]
+        else:
+            theta[tail[1]] += ((tg, 1),)
     cover.power = {i: tuple(w) for i, w in power.items() if w}
     cover.comm = {key: tuple(w) for key, w in comm.items() if w}
-    return cover, tails
+    return cover, tails, theta
 
 
-def _tail_vector(word, n, T, p):
+def _tail_difference(u1, u2, n, T, p):
+    """Tail vector of u1^-1 u2 for normal words u1, u2 of a cover that have
+    the same non-tail part: tails are central of exponent p, so it is the
+    tail part of u2 minus that of u1, mod p."""
+    if [b for b in u1 if b[0] <= n] != [b for b in u2 if b[0] <= n]:
+        raise InternalInvariantError(
+            "consistency difference involves non-tail generators"
+        )
     vec = [0] * T
-    for g, e in word:
-        if g <= n:
-            raise InternalInvariantError(
-                "consistency difference involves non-tail generators"
-            )
-        vec[g - n - 1] = e % p
+    for g, e in u2:
+        if g > n:
+            vec[g - n - 1] = e
+    for g, e in u1:
+        if g > n:
+            vec[g - n - 1] = (vec[g - n - 1] - e) % p
     return vec
 
 
@@ -283,12 +304,8 @@ def _consistency_vectors(cover: PcGroup, n: int, T: int, K: int):
     vecs = []
 
     def record(u1, u2):
-        if u1 == u2:
-            return
-        diff = cover.mult(cover.inverse(u1), u2)
-        vec = _tail_vector(diff, n, T, p)
-        if any(vec):
-            vecs.append(vec)
+        if u1 != u2:
+            vecs.append(_tail_difference(u1, u2, n, T, p))
 
     single = {g: ((g, 1),) for g in range(1, n + 1)}
     for k in range(3, n + 1):
@@ -329,15 +346,16 @@ def _relator_vectors(cover: PcGroup, theta, pres: Presentation, n: int, T: int):
         for letter in rel:
             w = theta[abs(letter)] if letter > 0 else inv_theta[abs(letter)]
             out = cover.mult(out, w)
-        vec = _tail_vector(out, n, T, cover.p)
+        vec = _tail_difference((), out, n, T, cover.p)
         if any(vec):
             vecs.append(vec)
     return vecs
 
 
-def _eliminate(cover: PcGroup, tails, vectors, K: int):
+def _eliminate(cover: PcGroup, tails, vectors, K: int, theta):
     """Quotient the cover by the span of the tail vectors; surviving tails
-    become the weight-K generators of the result."""
+    become the weight-K generators of the result.  Returns the result, the
+    number of new generators and the images theta in the result."""
     p, n = cover.p, cover.ngens - len(tails)
     T = len(tails)
     pivots = _rref_mod_p(vectors, T, p)
@@ -382,32 +400,30 @@ def _eliminate(cover: PcGroup, tails, vectors, K: int):
     for c in surviving:
         kind = tails[c]
         result.definitions[new_index[c]] = kind
-    return result, len(surviving)
+    theta = {j: substitute(w) for j, w in theta.items()}
+    return result, len(surviving), theta
 
 
 def p_quotient(pres: Presentation, p: int, max_class: int):
     """Maximal quotient of exponent-p class <= max_class, with layer ranks.
 
     Returns (PcGroup, LayerRanks).  The rank list ends with a 0 exactly
-    when the series stabilized before max_class.  At p = 2 only class <= 2
-    is supported: from class 3 the consistency conditions are incomplete.
+    when the series stabilized before max_class.
     """
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
     if not 1 <= max_class <= MAX_CLASS:
         raise ParameterError(f"class bound outside 1..{MAX_CLASS}")
-    if p == 2 and max_class > 2:
-        raise DomainError("p = 2 is supported up to class 2 only")
     G, theta, d1 = _class_one(pres, p)
     ranks = [d1]
     if d1 == 0:
         return G, LayerRanks((0,))
     for K in range(2, max_class + 1):
-        cover, tails = _build_cover(G, K)
+        cover, tails, theta = _build_cover(G, K, theta)
         n, T = G.ngens, len(tails)
         vectors = _consistency_vectors(cover, n, T, K)
         vectors += _relator_vectors(cover, theta, pres, n, T)
-        G, added = _eliminate(cover, tails, vectors, K)
+        G, added, theta = _eliminate(cover, tails, vectors, K, theta)
         ranks.append(added)
         if added == 0:
             break

@@ -9,7 +9,23 @@ from itertools import product
 
 
 def all_elements(G):
+    """All exponent tuples, lexicographic."""
     return [tuple(t) for t in product(range(G.p), repeat=G.ngens)]
+
+
+def word_of(expo):
+    return tuple((i + 1, e) for i, e in enumerate(expo) if e)
+
+
+def expo_of(G, word):
+    out = [0] * G.ngens
+    for g, e in word:
+        out[g - 1] = e
+    return tuple(out)
+
+
+def mult_expo(G, t1, t2):
+    return expo_of(G, G.mult(word_of(t1), word_of(t2)))
 
 
 def closure(G, gens):
@@ -22,7 +38,7 @@ def closure(G, gens):
         nxt = []
         for x in frontier:
             for g in gens:
-                y = G.mult_expo(x, g)
+                y = mult_expo(G, x, g)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -31,17 +47,16 @@ def closure(G, gens):
 
 
 def element_inverse(G, x):
-    return G.expo_of(G.inverse(G.word_of(x)))
+    return expo_of(G, G.inverse(word_of(x)))
 
 
 def element_power(G, x, e):
-    return G.expo_of(G.power_word(G.word_of(x), e))
+    return expo_of(G, G.power_word(word_of(x), e))
 
 
 def commutator(G, x, y):
     xi, yi = element_inverse(G, x), element_inverse(G, y)
-    w = G.mult_expo(G.mult_expo(xi, yi), G.mult_expo(x, y))
-    return w
+    return mult_expo(G, mult_expo(G, xi, yi), mult_expo(G, x, y))
 
 
 def brute_is_powerful(G):

@@ -201,12 +201,27 @@ def test_cli_survey_quarantines_each_bad_line_once(tmp_path, capsys):
         assert fh.read() == "{garbage\n"
 
 
-def test_cli_pq_refuses_p2_beyond_class2(tmp_path, capsys):
+def test_cli_pq_runs_p2_beyond_class2(tmp_path, capsys):
     f = tmp_path / "free2.txt"
     f.write_text("2\n")
-    assert main(["pq", str(f), "-p", "2", "--class", "3"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert main(["pq", str(f), "-p", "2", "--class", "3"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["ranks"] == [2, 3, 5]
+
+
+def test_cli_refuses_proxy_prime_beyond_dense_bound(capsys):
+    big = "4294967311"  # prime, past 2^31
+    for argv in (
+        ["twist-survey", "-n", "4", "-k", "4", "--qmax", "7", "--proxy-prime", big],
+        ["twist-survey", "-n", "4", "-k", "4", "--qmax", "7", "--second-prime", big],
+        ["twist-cover", "-n", "4", "-k", "4", "-q", "7", "--proxy-prime", big],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+    assert main(["twist-cover", "-n", "4", "-k", "4", "-q", "7",
+                 "--proxy-prime", str(2**31 - 1)]) == 0
 
 
 def test_cli_survey_cache_keyed_by_config(tmp_path, capsys):

@@ -51,6 +51,23 @@ def test_random_ranks_match_numpy_reference(p):
         assert rank_dense_mod_p(mat.to_dense(), p) == want
 
 
+def test_dense_rank_at_the_modulus_bound():
+    """The largest prime below 2^31 still ranks exactly; a modulus past the
+    bound (where int64 products of residues overflow) is refused."""
+    P = 2**31 - 1
+    rng = random.Random(7)
+    for _ in range(20):
+        m, n, r = rng.randint(2, 6), rng.randint(2, 6), rng.randint(1, 3)
+        left = [[rng.randrange(P) for _ in range(r)] for _ in range(m)]
+        right = [[rng.randrange(P) for _ in range(n)] for _ in range(r)]
+        rows = [[sum(x * y for x, y in zip(row, col)) % P for col in zip(*right)]
+                for row in left]
+        a = np.array(rows, dtype=np.int64)
+        assert rank_dense_mod_p(a.copy(), P) == _reference_rank(a, P)
+    with pytest.raises(ParameterError):
+        rank_dense_mod_p(np.eye(2, dtype=np.int64), 4294967311)
+
+
 def _block_diagonal(p, seed):
     """Block-diagonal sum of small random blocks, rows and columns permuted.
 
