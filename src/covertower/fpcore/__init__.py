@@ -10,7 +10,7 @@ from .words import (
     validate_word,
     word_power,
 )
-from .snf import AbelianInvariants, abelianization, mod_p_rank_h1, smith_invariants
+from .snf import AbelianInvariants, abelianization, smith_invariants
 from .sparse import SparseMatModP, rank_dense_mod_p, sparse_rank_mod_p
 from .perms import (
     Permutation,
@@ -34,7 +34,6 @@ __all__ = [
     "free_reduce",
     "group_order_equals",
     "invert_word",
-    "mod_p_rank_h1",
     "orbit_and_transversal",
     "parse_presentation",
     "rank_dense_mod_p",

@@ -9,7 +9,18 @@ subgroup relator words are never materialized.
 The Schreier transversal is fixed as BFS first-discovery with generators
 tried in index order, positive before negative, so matrices are
 reproducible bit for bit.
+
+The matrix is built by walking each relator once, letter by letter, over
+the whole array of cosets at the same time: the generators act on coset
+positions as integer arrays (one forward and one backward per
+generator), and a (coset, generator) -> column table holds -1 for tree
+edges.  Every letter step emits one (row, column, +-1) triple per coset
+off the tree, and SparseMatModP sums the duplicates mod P.
 """
+
+from itertools import chain, repeat
+
+import numpy as np
 
 from ..errors import InternalInvariantError, ParameterError
 from .perms import orbit_and_transversal
@@ -59,34 +70,44 @@ def abelianized_rewriting_matrix(pres: Presentation, images, point: int, P: int)
     identity and have no column).  Also returns the Schreier generator
     count n*(ngens-1)+1.
     """
-    orbit, coset_index, _tree, cols = schreier_data(pres, images, point)
+    orbit, _index, _tree, cols = schreier_data(pres, images, point)
     n = len(orbit)
-    ngens_schreier = n * (pres.ngens - 1) + 1
+    ngens = pres.ngens
+    ngens_schreier = n * (ngens - 1) + 1
     if len(cols) != ngens_schreier:
         raise InternalInvariantError("Schreier index formula violated")
-    inv_images = [g.inverse() for g in images]
-    triples = []
+    # the actions on coset positions, and (coset, generator) -> column,
+    # -1 for a tree edge
+    starts = np.arange(n)
+    position = np.empty(images[0].degree, dtype=np.int64)
+    position[orbit] = starts
+    fwd = [position[np.asarray(g.images)[orbit]] for g in images]
+    bwd = [np.empty_like(f) for f in fwd]
+    for f, b in zip(fwd, bwd):
+        b[f] = starts
+    table = np.full((n, ngens), -1, dtype=np.int64)
+    cosets, gens = zip(*cols)
+    table[cosets, gens] = list(cols.values())
+    steps = []  # (rows, columns, sign) per letter, for the cosets off the tree
     for r, rel in enumerate(pres.relators):
-        for c, start in enumerate(orbit):
-            row = {}
-            pt = start
-            for letter in rel:
-                gi = abs(letter) - 1
-                if letter > 0:
-                    key = (coset_index[pt], gi)
-                    if key in cols:
-                        row[cols[key]] = row.get(cols[key], 0) + 1
-                    pt = images[gi](pt)
-                else:
-                    prev = inv_images[gi](pt)
-                    key = (coset_index[prev], gi)
-                    if key in cols:
-                        row[cols[key]] = row.get(cols[key], 0) - 1
-                    pt = prev
-            if pt != start:
-                raise InternalInvariantError("relator does not stabilize the coset")
-            for col, v in row.items():
-                triples.append((r * n + c, col, v))
+        pt = starts
+        for letter in rel:
+            gi = abs(letter) - 1
+            if letter > 0:
+                col = table[pt, gi]
+                pt = fwd[gi][pt]
+            else:
+                pt = bwd[gi][pt]
+                col = table[pt, gi]
+            keep = col >= 0
+            steps.append((starts[keep] + r * n, col[keep], 1 if letter > 0 else -1))
+        if not np.array_equal(pt, starts):
+            raise InternalInvariantError("relator does not stabilize the coset")
+    # Python ints are made one letter at a time, so only one step's worth
+    # is alive at once
+    triples = chain.from_iterable(
+        zip(ids.tolist(), columns.tolist(), repeat(sign)) for ids, columns, sign in steps
+    )
     mat = SparseMatModP(len(pres.relators) * n, ngens_schreier, P, triples)
     return mat, ngens_schreier
 

@@ -6,10 +6,7 @@ during elimination cannot overflow.
 
 from dataclasses import dataclass
 
-from ..errors import ParameterError
-from ..arith import is_prime
 from .words import Presentation
-from .sparse import SparseMatModP, sparse_rank_mod_p
 
 
 def smith_invariants(rows) -> list:
@@ -102,14 +99,3 @@ def abelianization(pres: Presentation) -> AbelianInvariants:
     torsion = tuple(d for d in inv if d > 1)
     return AbelianInvariants(betti, torsion)
 
-
-def mod_p_rank_h1(pres: Presentation, P: int) -> int:
-    """dim H_1(pres; F_P) = ngens - rank of the exponent matrix over F_P."""
-    if not is_prime(P):
-        raise ParameterError(f"{P} is not prime")
-    rows = pres.exponent_matrix()
-    entries = [
-        (i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v % P
-    ]
-    mat = SparseMatModP(len(rows), pres.ngens, P, entries)
-    return pres.ngens - sparse_rank_mod_p(mat)

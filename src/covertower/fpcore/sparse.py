@@ -16,6 +16,14 @@ _DENSE_FILL, the remainder is copied into a numpy block, the sparse rows
 and the index are dropped, and a dense elimination finishes.  The pivots,
 and so the dense block, depend only on the matrix, not on how the rows are
 indexed.
+
+The dense finish (`rank_dense_mod_p`) works in int64 and reduces mod p
+lazily, as FFLAS-FFPACK does (Dumas-Giorgi-Pernet, ACM TOMS 2008): per
+pivot it reduces only the pivot column and the pivot row, updates the rows
+below on a contiguous slice, and reduces the trailing block only when one
+more update could leave int64.  Below DENSE_MODULUS_BOUND = 2^31 that
+happens after every second update at worst and never near p = 32000, and
+all integers stay exact, so the rank is that of eager reduction.
 """
 
 from bisect import insort
@@ -27,8 +35,9 @@ from ..arith import is_prime
 
 _DENSE_DIM = 400
 _DENSE_FILL = 0.18
-# the dense elimination multiplies two residues in int64: below 2^31 each,
-# their product stays below 2^62
+# the dense elimination subtracts products of two residues in int64: below
+# 2^31 each product stays below 2^62, and two such updates fit between
+# reductions
 DENSE_MODULUS_BOUND = 2**31
 
 
@@ -62,35 +71,59 @@ class SparseMatModP:
             rows[r][c] = v
         return rows
 
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        for (r, c), v in self.entries.items():
-            a[r, c] = v
-        return a
-
 
 def rank_dense_mod_p(a: np.ndarray, p: int) -> int:
-    """Gaussian elimination rank of an int64 array mod p (a is consumed);
-    p must be below DENSE_MODULUS_BOUND."""
+    """Gaussian elimination rank of an integer array mod p (a is consumed
+    when it is already a contiguous int64 array).
+
+    p must be below DENSE_MODULUS_BOUND and the dtype must cast safely to
+    int64 (a narrower block is copied to int64 first); anything else
+    raises ParameterError.
+
+    Reduction mod p is lazy.  Per pivot, only the pivot column below the
+    rank (before the non-zero test) and the pivot row are reduced; the
+    rows below are updated on a contiguous slice without reduction.  An
+    update subtracts the product of two reduced residues, at most (p-1)^2,
+    from entries that start in [0, p-1], so after k updates every entry
+    lies in [-k(p-1)^2, p-1].  The trailing block is reduced only after
+    budget = (2^63 - 1 - (p-1)) // (p-1)^2 updates, the most that keep
+    that interval inside int64.  Below 2^31 the budget is at least 2 (it
+    is 2 at 2^31 - 1, 128 at the largest prime below 2^28 and about 9e9
+    near 32000), so every integer is exact and the pivots are those of
+    eager reduction.
+    """
     if p >= DENSE_MODULUS_BOUND:
         raise ParameterError(f"modulus {p} is not below 2^31")
-    a = np.ascontiguousarray(a)
+    if not np.can_cast(a.dtype, np.int64):
+        raise ParameterError(f"dense block of dtype {a.dtype} does not cast to int64")
+    a = np.ascontiguousarray(a, dtype=np.int64)
     a %= p  # in place, so that no second copy of the block is held
     m, n = a.shape
+    budget = (2**63 - 1 - (p - 1)) // (p - 1) ** 2
+    pending = 0  # updates since the trailing block was last reduced
     rank = 0
     for col in range(n):
-        nz = np.nonzero(a[rank:, col])[0]
+        below = a[rank:, col]
+        below %= p
+        nz = np.flatnonzero(below)
         if nz.size == 0:
             continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        # rows from `rank` down are zero left of `col`
-        a[rank, col:] = a[rank, col:] * inv % p
-        rest = nz[1:] + rank
-        if rest.size:
-            a[rest, col:] = (a[rest, col:] - np.outer(a[rest, col], a[rank, col:])) % p
+        if nz[0]:
+            piv = rank + int(nz[0])
+            a[[rank, piv], col:] = a[[piv, rank], col:]
+        row = a[rank, col:]
+        row %= p
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
+        if nz.size > 1:
+            # rows from `rank` down are zero mod p left of `col`, and only
+            # rows rank + nz[1] to rank + nz[-1] hold `col`
+            rest = a[rank + int(nz[1]) : rank + 1 + int(nz[-1]), col:]
+            rest -= np.outer(rest[:, 0], row)
+            pending += 1
+            if pending == budget:
+                a[rank + 1 :, col + 1 :] %= p
+                pending = 0
         rank += 1
         if rank == m:
             break

@@ -1,15 +1,19 @@
 """Independent oracle implementations used only by the tests.
 
 Everything here recomputes results by a different route than the library:
-full (non-abelianized) Reidemeister-Schreier rewriting fed to sympy's
-Smith normal form, brute-force enumeration of matrix pairs over small
-PSL2(F_q), and multiplication-table checks for small pc-groups.
+Reidemeister-Schreier rewriting coset by coset and letter by letter over
+Z, fed to sympy's Smith normal form or reduced mod P as the reference for
+the library's all-cosets walk, brute-force enumeration of matrix pairs
+over small PSL2(F_q), and multiplication-table checks for small
+pc-groups.
 """
 
+import numpy as np
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from covertower.fpcore.rewriting import schreier_data
+from covertower.fpcore.sparse import SparseMatModP, sparse_rank_mod_p
 
 
 def snf_diagonal(rows):
@@ -46,6 +50,32 @@ def full_rewrite_rows(pres, images, point):
             assert pt == start
             rows.append(row)
     return rows, len(cols)
+
+
+def reference_rewriting_matrix(pres, images, point, P):
+    """The abelianized rewriting matrix mod P from the letter-by-letter,
+    coset-by-coset walk of `full_rewrite_rows`: the same
+    (SparseMatModP, Schreier generator count) that
+    `abelianized_rewriting_matrix` returns."""
+    rows, ncols = full_rewrite_rows(pres, images, point)
+    triples = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+    return SparseMatModP(len(rows), ncols, P, triples), ncols
+
+
+def to_dense(mat):
+    """The int64 array of a SparseMatModP."""
+    a = np.zeros((mat.nrows, mat.ncols), dtype=np.int64)
+    for (r, c), v in mat.entries.items():
+        a[r, c] = v
+    return a
+
+
+def mod_p_rank_h1(pres, P):
+    """dim H_1(pres; F_P) = ngens - rank of the exponent matrix over F_P."""
+    rows = pres.exponent_matrix()
+    entries = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+    mat = SparseMatModP(len(rows), pres.ngens, P, entries)
+    return pres.ngens - sparse_rank_mod_p(mat)
 
 
 def oracle_cover_betti(pres, images, point):

@@ -10,9 +10,9 @@ from covertower.fpcore import (
     AbelianInvariants,
     Presentation,
     abelianization,
-    mod_p_rank_h1,
     smith_invariants,
 )
+from helpers_oracle import mod_p_rank_h1
 
 
 def _sympy_invariants(rows):

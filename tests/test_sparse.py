@@ -5,6 +5,7 @@ import pytest
 
 from covertower.errors import ParameterError
 from covertower.fpcore import SparseMatModP, rank_dense_mod_p, sparse, sparse_rank_mod_p
+from helpers_oracle import to_dense
 
 
 def test_identity_rank():
@@ -46,9 +47,9 @@ def test_random_ranks_match_numpy_reference(p):
         for _ in range(rng.randint(0, 3 * max(m, n))):
             triples.append((rng.randrange(m), rng.randrange(n), rng.randint(-20, 20)))
         mat = SparseMatModP(m, n, p, triples)
-        want = _reference_rank(mat.to_dense(), p)
+        want = _reference_rank(to_dense(mat), p)
         assert sparse_rank_mod_p(mat) == want
-        assert rank_dense_mod_p(mat.to_dense(), p) == want
+        assert rank_dense_mod_p(to_dense(mat), p) == want
 
 
 def test_dense_rank_at_the_modulus_bound():
@@ -66,6 +67,62 @@ def test_dense_rank_at_the_modulus_bound():
         assert rank_dense_mod_p(a.copy(), P) == _reference_rank(a, P)
     with pytest.raises(ParameterError):
         rank_dense_mod_p(np.eye(2, dtype=np.int64), 4294967311)
+
+
+def _product_mod(left, right, p):
+    """left @ right mod p for int64 residues, one rank-one term at a time,
+    so that nothing overflows below 2^31."""
+    a = np.zeros((left.shape[0], right.shape[1]), dtype=np.int64)
+    for i in range(left.shape[1]):
+        a = (a + np.outer(left[:, i], right[i])) % p
+    return a
+
+
+def _low_rank(rng, m, n, r, p):
+    """An m x n product of random m x r and r x n matrices mod p."""
+    nprng = np.random.default_rng(rng.randrange(2**32))
+    left = nprng.integers(0, p, size=(m, r), dtype=np.int64)
+    right = nprng.integers(0, p, size=(r, n), dtype=np.int64)
+    return _product_mod(left, right, p)
+
+
+@pytest.mark.parametrize("P", [65537, 2**31 - 1])
+def test_dense_rank_of_a_narrow_integer_block(P):
+    """An int32 block is ranked as int64; an int32 product of residues
+    would wrap.  A dtype that does not cast to int64 safely is refused."""
+    rng = random.Random(P)
+    for _ in range(20):
+        a = _low_rank(rng, 6, 6, 2, P)
+        assert rank_dense_mod_p(a.astype(np.int32), P) == _reference_rank(a, P)
+    for a in (np.eye(2), np.eye(2, dtype=np.uint64), np.eye(2, dtype=object)):
+        with pytest.raises(ParameterError):
+            rank_dense_mod_p(a, 5)
+
+
+@pytest.mark.parametrize("p", [2, 3, 31991, 268435399, 2**31 - 1])
+def test_dense_rank_matches_sympy_on_low_rank_blocks(p):
+    """Lazy reduction against sympy on a random rank-100 150 x 120 block
+    whose entries are shifted by multiples of p, some of them negative."""
+    rng = random.Random(f"budget-{p}")
+    a = _low_rank(rng, 150, 120, 100, p)
+    shift = np.random.default_rng(rng.randrange(2**32)).integers(-3, 2, size=a.shape)
+    assert rank_dense_mod_p(a + shift * p, p) == _reference_rank(a, p)
+
+
+@pytest.mark.parametrize(
+    "p,shape,r", [(268435399, (140, 134), 131), (2**31 - 1, (12, 10), 6)]
+)
+def test_dense_rank_at_the_worst_case_of_the_update_budget(p, shape, r):
+    """L @ U with unit triangular L (m x r) and U (r x n) whose other
+    entries are p - 1: every pivot is 1 and every update subtracts
+    (p-1)^2 from each trailing entry, the most the update budget allows.
+    The budget is 128 below 2^28, crossed once by 131 pivots, and 2 at
+    2^31 - 1.  The rank is r, as L has full column rank and U full row
+    rank; an overflow shows up as a larger rank."""
+    m, n = shape
+    left = np.tril(np.full((m, r), p - 1, dtype=np.int64), -1) + np.eye(m, r, dtype=np.int64)
+    right = np.triu(np.full((r, n), p - 1, dtype=np.int64), 1) + np.eye(r, n, dtype=np.int64)
+    assert rank_dense_mod_p(_product_mod(left, right, p), p) == r
 
 
 def _block_diagonal(p, seed):
