@@ -6,7 +6,9 @@ for 2:
   1  bad input: a usage error, a parameter out of range, an undefined
      operation on the input, a malformed presentation, an unreadable file;
   2  a verification against the reference values came out red;
-  3  a resource guard tripped (for example the p-quotient layer width);
+  3  a resource guard tripped (for example the p-quotient layer width, or
+     a field F_q with q = p^m, m > 1 and q above finfield.MAX_TABLE_ORDER,
+     whose log tables would not fit; a survey stops at the first such q);
   4  an internal invariant failed: a bug, not bad input.
 """
 

@@ -1,10 +1,34 @@
 """Arithmetic in F_q = F_{p^m}, 2x2 matrices, and the projective-line action.
 
-Field elements are coefficient tuples of length m, low degree first, with
-entries in 0..p-1; this is the only field representation in the package.
+A field element is a plain int in 0..q-1: the base-p number whose digits,
+least significant first, are the element's coefficients in low-degree-first
+order, so sum c_i z^i is the int sum c_i p^i.  This is the only field
+representation in the package.  0 and 1 are the field's zero and one, an
+int c < p is the prime-field element c, and point i < q of P^1 is (i : 1).
+`FqCtx.coeffs` gives the coefficient tuple back; reports print that.
+
+Ordering rule: where an order among elements reaches a report (the scan
+order of meridian traces, the least member of a Frobenius orbit, the order
+of classes), it is the lexicographic order of coefficient tuples.  For
+m > 1 that is not the order of the ints (which compares the top degree
+first), so such orders sort by `coeffs`.  Orders that are by index (the
+t-scan, the least root of a quadratic, the scan for B0) are the int order.
+
 Each context owns a deterministic modulus: the monic irreducible of degree
 m whose coefficient vector, read as base-p digits (low degree least
 significant), is smallest.  No Conway-polynomial tables.
+
+At m = 1 the arithmetic is integer arithmetic mod p.  At m > 1 the context
+builds three tables once, for g the least primitive element and
+L = q - 1:
+  _exp[k]   g^(k mod L) for 0 <= k < 2L, and 0 for 2L <= k <= 4L;
+  _log[a]   the k < L with g^k = a, and _log[0] = 2L;
+  _zech[k]  _log[1 + g^k] for 0 <= k < L (2L where 1 + g^k = 0).
+A sum of two logs then indexes _exp directly and lands on 0 when a factor
+is 0, so mul, inv, pow and frobenius are lookups; a + b is
+g^(la + _zech[(lb - la) mod L]), and XOR at p = 2.  The polynomial product
+mod the modulus (`_poly_mul_mod`) only builds the tables.  They take O(q)
+memory, so a field with m > 1 and q > MAX_TABLE_ORDER is refused.
 
 All computation stays inside F_q: the traces of a prescribed projective
 order come from Chebyshev polynomials evaluated at x in F_q.
@@ -13,8 +37,10 @@ order come from Chebyshev polynomials evaluated at x in F_q.
 from functools import lru_cache
 
 from .arith import divisors, factorize, is_prime
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, ResourceError
 from .fpcore.perms import Permutation
+
+MAX_TABLE_ORDER = 1 << 16
 
 
 def _poly_mul_mod(a, b, p, red):
@@ -103,128 +129,108 @@ def _poly_is_irreducible(coeffs, p):
     return True
 
 
+def _find_modulus(p, m):
+    if m == 1:
+        return (0, 1)  # the polynomial z
+    for v in range(p**m):
+        coeffs = _digits(v, p, m)
+        if _poly_is_irreducible(coeffs, p):
+            return coeffs + (1,)
+    raise ParameterError(f"no irreducible of degree {m} over F_{p}")  # unreachable
+
+
+def _digits(i, p, m):
+    """Base-p digits of i, least significant first, as an m-tuple."""
+    out = []
+    for _ in range(m):
+        i, c = divmod(i, p)
+        out.append(c)
+    return tuple(out)
+
+
+def _from_digits(coeffs, p):
+    i = 0
+    for c in reversed(coeffs):
+        i = i * p + c
+    return i
+
+
+def _zech_tables(p, m, modulus):
+    """(_exp, _log, _zech) of the module docstring for F_{p^m}, m > 1."""
+    q = p**m
+    L = q - 1
+    # reduction table: z^(m+j) for j = 0..m-2 expressed in degrees < m
+    base = tuple((-c) % p for c in modulus[:m])
+    red = [base]
+    for _ in range(m - 2):
+        shifted = (0,) + red[-1][:-1]
+        carry = red[-1][-1]
+        red.append(tuple((x + carry * b) % p for x, b in zip(shifted, base)))
+    one = _digits(1, p, m)
+
+    def power(g, e):
+        result = one
+        while e:
+            if e & 1:
+                result = _poly_mul_mod(result, g, p, red)
+            g = _poly_mul_mod(g, g, p, red)
+            e >>= 1
+        return result
+
+    cofactors = [L // ell for ell in factorize(L)]
+    g = next(
+        g
+        for g in (_digits(i, p, m) for i in range(p, q))
+        if all(power(g, c) != one for c in cofactors)
+    )
+    exp = [0] * (4 * L + 1)
+    log = [2 * L] * q
+    cur = one
+    for k in range(L):
+        e = _from_digits(cur, p)
+        exp[k] = exp[k + L] = e
+        log[e] = k
+        cur = _poly_mul_mod(cur, g, p, red)
+    # 1 + e changes the constant coefficient, the lowest digit, alone
+    zech = [log[e - e % p + (e + 1) % p] for e in exp[:L]]
+    return exp, log, zech
+
+
 class FqCtx:
-    """Immutable finite-field context; shareable across tasks."""
+    """F_q on int elements; immutable and shareable.  Built by
+    `fq_context`, which picks the prime-field or the table-driven kind."""
 
     def __init__(self, p, m):
         if not is_prime(p):
             raise ParameterError(f"{p} is not prime")
-        if not 1 <= m <= 8:
-            raise ParameterError(f"extension degree {m} outside 1..8")
+        if m < 1:
+            raise ParameterError(f"extension degree {m} is not positive")
+        if m > 1 and p**m > MAX_TABLE_ORDER:
+            raise ResourceError(
+                f"F_{p**m} would need field tables of {p**m} entries, "
+                f"more than {MAX_TABLE_ORDER}"
+            )
         self.p = p
         self.m = m
         self.q = p**m
-        self.modulus = self._find_modulus(p, m)
-        # reduction table: z^(m+j) for j = 0..m-2 expressed in degrees < m
-        red = []
-        if m > 1:
-            base = tuple((-c) % p for c in self.modulus[:m])
-            red.append(base)
-            for _ in range(m - 2):
-                prev = red[-1]
-                shifted = [0] + list(prev)
-                carry = shifted[m] if len(shifted) > m else 0
-                shifted = shifted[:m]
-                if carry:
-                    shifted = [(x + carry * b) % p for x, b in zip(shifted, base)]
-                red.append(tuple(shifted))
-        self._red = red
-        self.zero = (0,) * m
-        self.one = (1,) + (0,) * (m - 1)
-        self._sqrt_cache = None
+        self.modulus = _find_modulus(p, m)
 
-    @staticmethod
-    def _find_modulus(p, m):
-        if m == 1:
-            return (0, 1)  # the polynomial z
-        for v in range(p**m):
-            coeffs = []
-            x = v
-            for _ in range(m):
-                coeffs.append(x % p)
-                x //= p
-            if _poly_is_irreducible(coeffs, p):
-                return tuple(coeffs) + (1,)
-        raise ParameterError(f"no irreducible of degree {m} over F_{p}")  # unreachable
-
-    # --- element plumbing -------------------------------------------------
-    def elem(self, i: int):
-        """i-th element: base-p digits of i, little-endian."""
-        if not 0 <= i < self.q:
-            raise ParameterError(f"element index {i} outside 0..{self.q - 1}")
-        coeffs = []
-        for _ in range(self.m):
-            coeffs.append(i % self.p)
-            i //= self.p
-        return tuple(coeffs)
-
-    def index(self, a) -> int:
-        i = 0
-        for c in reversed(a):
-            i = i * self.p + c
-        return i
+    def coeffs(self, a):
+        """Coefficient tuple of a, low degree first."""
+        return _digits(a, self.p, self.m)
 
     def from_int(self, n: int):
-        return (n % self.p,) + (0,) * (self.m - 1)
+        """The image of the integer n in the prime field."""
+        return n % self.p
 
     def elements(self):
-        return (self.elem(i) for i in range(self.q))
-
-    # --- field arithmetic -------------------------------------------------
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return range(self.q)
 
     def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def mul(self, a, b):
-        if self.m == 1:
-            return ((a[0] * b[0]) % self.p,)
-        return _poly_mul_mod(a, b, self.p, self._red)
-
-    def square(self, a):
-        return self.mul(a, a)
-
-    def pow(self, a, e: int):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return self.add(a, self.neg(b))
 
     def inv(self, a):
-        if a == self.zero:
-            raise DomainError("inverse of zero")
-        if self.m == 1:
-            return (pow(a[0], self.p - 2, self.p),)
-        return self.pow(a, self.q - 2)
-
-    def frobenius(self, a):
-        """a -> a^p."""
-        return self.pow(a, self.p)
-
-    def sqrt(self, a):
-        """A square root in this field, or None.  Table-based; cached."""
-        if self._sqrt_cache is None:
-            table = {}
-            for i in range(self.q):
-                e = self.elem(i)
-                s = self.mul(e, e)
-                if s not in table:
-                    table[s] = e
-            self._sqrt_cache = table
-        return self._sqrt_cache.get(a)
+        return self.div(1, a)
 
     def __eq__(self, other):
         return (
@@ -238,21 +244,135 @@ class FqCtx:
         return f"FqCtx(p={self.p}, m={self.m})"
 
 
+class _PrimeField(FqCtx):
+    """m = 1: integer arithmetic mod p."""
+
+    def __init__(self, p):
+        super().__init__(p, 1)
+        self._sqrt = None
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def div(self, a, b):
+        if not b:
+            raise DomainError("inverse of zero")
+        return a * pow(b, -1, self.p) % self.p
+
+    def pow(self, a, e: int):
+        if e < 0:
+            a, e = self.inv(a), -e
+        return pow(a, e, self.p)
+
+    def frobenius(self, a):
+        return a
+
+    def sqrt(self, a):
+        """The least square root of a, or None.  Table-based; cached."""
+        if self._sqrt is None:
+            table = [None] * self.p
+            for e in range(self.p):
+                s = e * e % self.p
+                if table[s] is None:
+                    table[s] = e
+            self._sqrt = table
+        return self._sqrt[a]
+
+    def evaluate(self, coefs, y):
+        """Polynomial with coefficients `coefs` (highest first) at y."""
+        p = self.p
+        acc = 0
+        for c in coefs:
+            acc = (acc * y + c) % p
+        return acc
+
+
+class _TableField(FqCtx):
+    """m > 1: log, antilog and Zech tables (see the module docstring)."""
+
+    def __init__(self, p, m):
+        super().__init__(p, m)
+        self._exp, self._log, self._zech = _zech_tables(p, m, self.modulus)
+
+    def add(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        return self._exp[la + self._zech[(self._log[b] - la) % (self.q - 1)]]
+
+    def neg(self, a):
+        if self.p == 2:
+            return a
+        return self._exp[self._log[a] + (self.q - 1) // 2]
+
+    def mul(self, a, b):
+        return self._exp[self._log[a] + self._log[b]]
+
+    def div(self, a, b):
+        if not b:
+            raise DomainError("inverse of zero")
+        return self._exp[self._log[a] + self.q - 1 - self._log[b]]
+
+    def pow(self, a, e: int):
+        if not a:
+            if e < 0:
+                raise DomainError("inverse of zero")
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]
+
+    def frobenius(self, a):
+        """a -> a^p."""
+        return self.pow(a, self.p)
+
+    def sqrt(self, a):
+        """A square root of a, or None."""
+        if not a:
+            return 0
+        k = self._log[a]
+        if k % 2:
+            if self.p != 2:
+                return None
+            k += self.q - 1  # q - 1 is odd: every element is a square
+        return self._exp[k // 2]
+
+    def evaluate(self, coefs, y):
+        """Polynomial with coefficients `coefs` (highest first) at y."""
+        exp, log, zech = self._exp, self._log, self._zech
+        ly = log[y]
+        acc = 0
+        if self.p == 2:
+            for c in coefs:
+                acc = exp[log[acc] + ly] ^ c
+            return acc
+        if not y:
+            return coefs[-1]
+        L = self.q - 1
+        for c in coefs:
+            if not acc:
+                acc = c
+                continue
+            la = (log[acc] + ly) % L  # log of acc * y
+            acc = exp[la + zech[(log[c] - la) % L]] if c else exp[la]
+        return acc
+
+
 @lru_cache(maxsize=None)
 def fq_context(p: int, m: int) -> FqCtx:
-    """Public context constructor (degrees 1..8)."""
-    return FqCtx(p, m)
-
-
-def element_order(ctx: FqCtx, e) -> int:
-    """Multiplicative order, via the factorization of q-1."""
-    if e == ctx.zero:
-        raise DomainError("order of zero is undefined")
-    order = ctx.q - 1
-    for ell in factorize(order):
-        while order % ell == 0 and ctx.pow(e, order // ell) == ctx.one:
-            order //= ell
-    return order
+    """The context of F_{p^m}; one per (p, m) in a process."""
+    return _PrimeField(p) if m == 1 else _TableField(p, m)
 
 
 def order_k_traces(ctx: FqCtx, k: int, exact: bool = True):
@@ -274,13 +394,14 @@ def order_k_traces(ctx: FqCtx, k: int, exact: bool = True):
     ks = [k] if exact else [d for d in divisors(k) if d >= 2]
     primes = {kk: list(factorize(kk)) for kk in ks}
     unipotent = (ctx.from_int(2), ctx.from_int(-2))
+    mul, sub = ctx.mul, ctx.sub
     out = set()
     for x in ctx.elements():
-        s = [ctx.zero, ctx.one]  # s[j] = S_{j-1}(x)
+        s = [0, 1]  # s[j] = S_{j-1}(x)
         for _ in range(max(ks) - 1):
-            s.append(ctx.sub(ctx.mul(x, s[-1]), s[-2]))
+            s.append(sub(mul(x, s[-1]), s[-2]))
         for kk in ks:
-            if s[kk] == ctx.zero and all(s[kk // ell] != ctx.zero for ell in primes[kk]):
+            if not s[kk] and all(s[kk // ell] for ell in primes[kk]):
                 out.add((x, x not in unipotent))
     return out
 
@@ -290,17 +411,18 @@ def order_k_traces(ctx: FqCtx, k: int, exact: bool = True):
 
 
 def mat_identity(ctx):
-    return (ctx.one, ctx.zero, ctx.zero, ctx.one)
+    return (1, 0, 0, 1)
 
 
 def mat_mul(ctx, A, B):
     a, b, c, d = A
     e, f, g, h = B
+    add, mul = ctx.add, ctx.mul
     return (
-        ctx.add(ctx.mul(a, e), ctx.mul(b, g)),
-        ctx.add(ctx.mul(a, f), ctx.mul(b, h)),
-        ctx.add(ctx.mul(c, e), ctx.mul(d, g)),
-        ctx.add(ctx.mul(c, f), ctx.mul(d, h)),
+        add(mul(a, e), mul(b, g)),
+        add(mul(a, f), mul(b, h)),
+        add(mul(c, e), mul(d, g)),
+        add(mul(c, f), mul(d, h)),
     )
 
 
@@ -321,13 +443,12 @@ def mat_inv(ctx, A):
     """Inverse; for det 1 this is the adjugate (fast path)."""
     a, b, c, d = A
     det = mat_det(ctx, A)
-    if det == ctx.zero:
+    if not det:
         raise DomainError("matrix is singular")
     adj = (d, ctx.neg(b), ctx.neg(c), a)
-    if det == ctx.one:
+    if det == 1:
         return adj
-    di = ctx.inv(det)
-    return tuple(ctx.mul(di, x) for x in adj)
+    return tuple(ctx.div(x, det) for x in adj)
 
 
 def mat_pow(ctx, A, e: int):
@@ -346,27 +467,20 @@ def mat_pow(ctx, A, e: int):
 def p1_action(ctx, M):
     """Permutation of P^1(F_q) induced by a nonsingular matrix.
 
-    Point i < q is (elem(i) : 1); point q is (1 : 0).  The action is by
-    Moebius transformation on projective columns.
+    Point i < q is (i : 1); point q is (1 : 0).  The action is by Moebius
+    transformation on projective columns.
     """
-    if mat_det(ctx, M) == ctx.zero:
+    if not mat_det(ctx, M):
         raise DomainError("singular matrix does not act on P^1")
     a, b, c, d = M
     q = ctx.q
+    add, mul, div = ctx.add, ctx.mul, ctx.div
     images = []
-    for i in range(q):
-        z = ctx.elem(i)
-        num = ctx.add(ctx.mul(a, z), b)
-        den = ctx.add(ctx.mul(c, z), d)
-        if den == ctx.zero:
-            images.append(q)
-        else:
-            images.append(ctx.index(ctx.mul(num, ctx.inv(den))))
+    for z in range(q):
+        den = add(mul(c, z), d)
+        images.append(div(add(mul(a, z), b), den) if den else q)
     # (1 : 0) -> (a : c)
-    if c == ctx.zero:
-        images.append(q)
-    else:
-        images.append(ctx.index(ctx.mul(a, ctx.inv(c))))
+    images.append(div(a, c) if c else q)
     return Permutation(images)
 
 

@@ -491,15 +491,6 @@ class VolumeResult:
     terms: int
 
 
-def _chi_minus8(n: int) -> int:
-    r = n % 8
-    if r in (1, 3):
-        return 1
-    if r in (5, 7):
-        return -1
-    return 0
-
-
 def volume_constant(terms: int = 10**7) -> VolumeResult:
     """8*sqrt(2)/pi^2 * zeta(2) * L(2, chi_-8) by direct summation.
 
@@ -526,19 +517,6 @@ def volume_constant(terms: int = 10**7) -> VolumeResult:
     zeta2 += 1.0 / terms - 1.0 / (2.0 * terms**2) + 1.0 / (6.0 * terms**3)
     value = 8.0 * math.sqrt(2.0) / math.pi**2 * zeta2 * lval
     return VolumeResult(value, 2.0 * value, zeta2, lval, terms)
-
-
-def zeta_k2_by_ideal_count(limit: int = 10**6) -> float:
-    """Slow cross-check: sum of 1/N(I)^2 over ideals of norm <= limit.
-
-    The ideal count of norm n is the divisor sum of the discriminant
-    character, accumulated by a direct sieve; no L-series shortcut.
-    """
-    counts = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1, 2):
-        counts[d::d] += _chi_minus8(d)
-    n = np.arange(1, limit + 1, dtype=np.float64)
-    return float((counts[1:] / (n * n)).sum())
 
 
 # --- the cube-residue obstruction mod 9 -------------------------------------

@@ -11,9 +11,18 @@ coordinates x = tr A = tr B and y = tr AB (Riley 1984; Hoste-Shanahan
 2001).  The meridian traces of each projective order come from Chebyshev
 polynomials (`finfield.order_k_traces`); the relator is a set of integer
 polynomials in (x, y), derived once per twist n in the algebra spanned by
-1, A, B, AB and evaluated over F_q.  Each accepted (x, y) is realized by
-an explicit pair over F_q (`conjugate_to_base_field`) on which the relator
-is checked again as matrices.
+1, A, B, AB, reduced mod p once per characteristic, and evaluated over
+F_q: x is substituted once per trace, then each polynomial in y is
+evaluated by Horner's rule at every y = x^2 - 2 + t.  Each accepted (x, y)
+is realized by an explicit pair over F_q (`conjugate_to_base_field`) on
+which the relator is checked again as matrices.
+
+Field elements are the ints of `finfield` (traces, t, matrix entries and
+canonical keys); reports write them as coefficient lists (`record_dict`).
+Which member of a class is kept, and the order of classes, follow the
+ordering rule of `finfield`: x runs in coefficient-tuple order and t in
+int order, the first (x, y) met in a class is the one stored, and keys
+are compared as coefficient tuples.
 
 Surjectivity is decided by exact permutation-group order, not by a
 classification of subgroups.  No trace-variety component filtering is done;
@@ -211,39 +220,47 @@ def _relator_polys(n: int):
     )
 
 
-def _relator_in_y(ctx, n, x):
-    """The relator polynomials with x substituted: for each sign, the
-    nonzero coordinates as coefficient lists in y over F_q, highest first."""
-    xs = [ctx.one]
+@lru_cache(maxsize=None)
+def _relator_rows(n: int, p: int):
+    """`_relator_polys(n)` mod p as nested coefficient lists: for each sign,
+    each coordinate as its coefficients in y, highest first, each of which
+    is a coefficient list in x, highest first."""
     out = []
     for coords in _relator_polys(n):
         polys = []
         for poly in coords:
-            coefs = {}
+            if not poly:
+                continue
+            dx = max(i for (i, _), _ in poly)
+            dy = max(j for (_, j), _ in poly)
+            rows = [[0] * (dx + 1) for _ in range(dy + 1)]
             for (i, j), c in poly:
-                while len(xs) <= i:
-                    xs.append(ctx.mul(xs[-1], x))
-                term = ctx.mul(ctx.from_int(c), xs[i])
-                coefs[j] = ctx.add(coefs.get(j, ctx.zero), term)
-            top = max((j for j, c in coefs.items() if c != ctx.zero), default=None)
-            if top is not None:
-                polys.append([coefs.get(j, ctx.zero) for j in range(top, -1, -1)])
+                rows[dy - j][dx - i] = c % p
+            polys.append(rows)
         out.append(polys)
     return out
 
 
-def _horner(ctx, coefs, y):
-    acc = ctx.zero
-    for c in coefs:
-        acc = ctx.add(ctx.mul(acc, y), c)
-    return acc
+def _relator_in_y(ctx, n, x):
+    """The relator polynomials with x substituted: for each sign, the
+    nonzero coordinates as coefficient lists in y over F_q, highest first."""
+    out = []
+    for polys in _relator_rows(n, ctx.p):
+        nonzero = []
+        for rows in polys:
+            coefs = [ctx.evaluate(row, x) for row in rows]
+            while coefs and not coefs[0]:
+                coefs.pop(0)
+            if coefs:
+                nonzero.append(coefs)
+        out.append(nonzero)
+    return out
 
 
 def _relator_holds(ctx, signs, y):
     """Does some sign's coordinate list vanish at y?"""
-    return any(
-        all(_horner(ctx, coefs, y) == ctx.zero for coefs in polys) for polys in signs
-    )
+    evaluate = ctx.evaluate
+    return any(all(not evaluate(coefs, y) for coefs in polys) for polys in signs)
 
 
 def _relator_matrix(ctx, A, B, n):
@@ -266,20 +283,17 @@ def conjugate_to_base_field(ctx, x, y):
     tr B0 = x, det B0 = 1, tr(A0 B0) = y by scanning its upper-left entry
     (at most q trials; each is a quadratic in the lower-left entry).
     """
-    one = ctx.one
-    A0 = (x, ctx.neg(one), one, ctx.zero)
-    for ci in range(ctx.q):
-        c = ctx.elem(ci)
+    A0 = (x, ctx.neg(1), 1, 0)
+    for c in ctx.elements():
         # B0 = [[c, b],[g, x - c]]: b - g = y - x c, det = 1 gives a
         # quadratic g^2 + (y - xc) g + (1 - c(x - c)) = 0
         beta = ctx.sub(y, ctx.mul(x, c))
-        const = ctx.sub(one, ctx.mul(c, ctx.sub(x, c)))
+        const = ctx.sub(1, ctx.mul(c, ctx.sub(x, c)))
         g = _solve_quadratic(ctx, beta, const)
         if g is None:
             continue
-        b = ctx.add(g, beta)
-        B0 = (c, b, g, ctx.sub(x, c))
-        if mat_det(ctx, B0) != one:
+        B0 = (c, ctx.add(g, beta), g, ctx.sub(x, c))
+        if mat_det(ctx, B0) != 1:
             raise InternalInvariantError("B0 determinant drifted")
         if mat_trace(ctx, mat_mul(ctx, A0, B0)) != y:
             raise InternalInvariantError("tr(A0 B0) drifted")
@@ -292,36 +306,35 @@ def conjugate_to_base_field(ctx, x, y):
 def _solve_quadratic(ctx, beta, const):
     """Least root of g^2 + beta g + const = 0 over F_q, or None."""
     if ctx.p == 2:
-        for gi in range(ctx.q):
-            g = ctx.elem(gi)
-            if ctx.add(ctx.add(ctx.mul(g, g), ctx.mul(beta, g)), const) == ctx.zero:
+        for g in ctx.elements():
+            if not ctx.add(ctx.mul(ctx.add(g, beta), g), const):
                 return g
         return None
     disc = ctx.sub(ctx.mul(beta, beta), ctx.mul(ctx.from_int(4), const))
     r = ctx.sqrt(disc)
     if r is None:
         return None
-    inv2 = ctx.inv(ctx.from_int(2))
-    roots = sorted(
-        (ctx.index(ctx.mul(inv2, ctx.sub(s, beta))) for s in (r, ctx.neg(r))),
-    )
-    return ctx.elem(roots[0])
+    return min(ctx.div(ctx.sub(s, beta), ctx.from_int(2)) for s in (r, ctx.neg(r)))
 
 
 def _frobenius_orbit_key(ctx, x, y):
-    """Minimum over Frobenius twists and allowed lift re-signings of the
-    encoded trace pair.  The simultaneous flip (x, y) -> (-x, y) is always
-    an equivalence; when x = 0 the single-lift flip (0, y) -> (0, -y) is
-    one as well."""
+    """Least member, in coefficient-tuple order, of the trace pair's orbit
+    under Frobenius twists and the allowed lift re-signings.  The
+    simultaneous flip (x, y) -> (-x, y) is always an equivalence; when
+    x = 0 the single-lift flip (0, y) -> (0, -y) is one as well."""
     cands = []
     cx, cy = x, y
     for _ in range(ctx.m):
         for sx in (cx, ctx.neg(cx)):
             cands.append((sx, cy))
-            if sx == ctx.zero:
+            if not sx:
                 cands.append((sx, ctx.neg(cy)))
         cx, cy = ctx.frobenius(cx), ctx.frobenius(cy)
-    return min(cands)
+    return min(cands, key=lambda pair: _pair_coeffs(ctx, pair))
+
+
+def _pair_coeffs(ctx, pair):
+    return ctx.coeffs(pair[0]), ctx.coeffs(pair[1])
 
 
 def enumerate_epimorphisms(spec: OrbifoldSpec, q: int, exact_k: bool = False):
@@ -329,7 +342,9 @@ def enumerate_epimorphisms(spec: OrbifoldSpec, q: int, exact_k: bool = False):
 
     Meridian traces x run over projective orders k' dividing k (k' >= 2),
     or exactly k when exact_k is set; y = x^2 - 2 + t runs over F_q with
-    the parameter t = y - x^2 + 2 scanned by index.  Candidates must
+    the parameter t = y - x^2 + 2 scanned in int order; x runs in
+    coefficient-tuple order, so the first (x, y) met in a Frobenius orbit,
+    the one whose class is kept, is the one the report shows.  Candidates must
     be absolutely irreducible (t != 0 and y != 2, the two factors of
     tr[A,B] - 2), satisfy the relator polynomials of the twist, and
     generate the full group (exact permutation order on the projective
@@ -346,11 +361,11 @@ def enumerate_epimorphisms(spec: OrbifoldSpec, q: int, exact_k: bool = False):
     classes = {}
     seen_keys = set()
     for korder in ks:
-        for x, semisimple in sorted(order_k_traces(ctx, korder, exact=True)):
+        traces = order_k_traces(ctx, korder, exact=True)
+        for x, semisimple in sorted(traces, key=lambda xs: ctx.coeffs(xs[0])):
             signs = _relator_in_y(ctx, spec.n, x)
             shift = ctx.sub(ctx.mul(x, x), two)
-            for ti in range(1, ctx.q):
-                t = ctx.elem(ti)
+            for t in range(1, ctx.q):
                 y = ctx.add(shift, t)
                 if y == two or not _relator_holds(ctx, signs, y):
                     continue
@@ -383,7 +398,7 @@ def enumerate_epimorphisms(spec: OrbifoldSpec, q: int, exact_k: bool = False):
                     A0=A0,
                     B0=B0,
                 )
-    return [classes[k] for k in sorted(classes)]
+    return [classes[k] for k in sorted(classes, key=lambda k: _pair_coeffs(ctx, k))]
 
 
 def cover_betti(epi: EpiClass, P: int, second_prime: int = None) -> CoverRecord:
@@ -414,15 +429,9 @@ def cover_betti(epi: EpiClass, P: int, second_prime: int = None) -> CoverRecord:
     )
 
 
-def prime_powers_up_to(q_max: int, max_m: int = 8):
-    """Prime powers 2 <= p^m <= q_max with m capped by the field-degree
-    guard (covers every norm in the survey range)."""
-    out = []
-    for q in range(2, q_max + 1):
-        pm = prime_power_split(q)
-        if pm and pm[1] <= max_m:
-            out.append(q)
-    return out
+def prime_powers_up_to(q_max: int):
+    """Every prime power 2 <= q <= q_max, in order."""
+    return [q for q in range(2, q_max + 1) if prime_power_split(q)]
 
 
 @dataclass
@@ -463,20 +472,23 @@ def compute_q_records(spec_n, spec_k, q, proxy_prime=31991, second_prime=None, e
 
 
 def record_dict(epi: EpiClass, rec: CoverRecord) -> dict:
+    """The report's record of one class; field elements are written as
+    coefficient lists, low degree first."""
     pm = prime_power_split(epi.q)
+    ctx = fq_context(*pm)
     return {
         "n": epi.n,
         "k": epi.k,
         "q": epi.q,
         "p": pm[0],
         "m": pm[1],
-        "x": list(epi.x),
-        "y": list(epi.y),
-        "t": list(epi.t),
+        "x": list(ctx.coeffs(epi.x)),
+        "y": list(ctx.coeffs(epi.y)),
+        "t": list(ctx.coeffs(epi.t)),
         "semisimple": epi.semisimple,
         "korder": epi.korder,
         "non_canonical": epi.non_canonical,
-        "canonical_key": [list(epi.canonical_key[0]), list(epi.canonical_key[1])],
+        "canonical_key": [list(c) for c in _pair_coeffs(ctx, epi.canonical_key)],
         "betti_proxy": rec.betti_proxy,
         "proxy_prime": rec.proxy_prime,
         "second_proxy": rec.second_proxy,

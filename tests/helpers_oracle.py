@@ -4,14 +4,19 @@ Everything here recomputes results by a different route than the library:
 Reidemeister-Schreier rewriting coset by coset and letter by letter over
 Z, fed to sympy's Smith normal form or reduced mod P as the reference for
 the library's all-cosets walk, brute-force enumeration of matrix pairs
-over small PSL2(F_q), and multiplication-table checks for small
-pc-groups.
+over small PSL2(F_q), multiplication-table checks for small pc-groups,
+a reference field on coefficient tuples, and a few cross-checks that only
+tests call.
 """
+
+import itertools
 
 import numpy as np
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
+from covertower.arith import factorize
+from covertower.errors import DomainError
 from covertower.fpcore.rewriting import schreier_data
 from covertower.fpcore.sparse import SparseMatModP, sparse_rank_mod_p
 
@@ -98,23 +103,20 @@ class BrutePSL2:
         self.ctx = ctx
         self.elements = set()
         q = ctx.q
-        for ai in range(q):
-            for bi in range(q):
-                for ci in range(q):
-                    a, b, c = ctx.elem(ai), ctx.elem(bi), ctx.elem(ci)
-                    if a == ctx.zero:
-                        if b == ctx.zero:
+        for a in range(q):
+            for b in range(q):
+                for c in range(q):
+                    if a == 0:
+                        if b == 0:
                             continue
                         # det = -bc = 1
-                        d_candidates = range(q)
-                        cc = ctx.neg(ctx.inv(b))
-                        if c != cc:
+                        if c != ctx.neg(ctx.inv(b)):
                             continue
-                        for di in range(q):
-                            self.elements.add(self.canon((a, b, c, ctx.elem(di))))
+                        for d in range(q):
+                            self.elements.add(self.canon((a, b, c, d)))
                         continue
                     # d = (1 + bc)/a
-                    d = ctx.mul(ctx.add(ctx.one, ctx.mul(b, c)), ctx.inv(a))
+                    d = ctx.mul(ctx.add(1, ctx.mul(b, c)), ctx.inv(a))
                     self.elements.add(self.canon((a, b, c, d)))
         self.elements = sorted(self.elements)
 
@@ -124,7 +126,7 @@ class BrutePSL2:
         neg = tuple(self.ctx.neg(x) for x in m)
         for x, y in zip(m, neg):
             if x != y:
-                return m if self.ctx.index(x) < self.ctx.index(y) else neg
+                return m if x < y else neg
         return m
 
     def mul(self, A, B):
@@ -147,7 +149,7 @@ class BrutePSL2:
 
     def identity(self):
         ctx = self.ctx
-        return self.canon((ctx.one, ctx.zero, ctx.zero, ctx.one))
+        return self.canon((1, 0, 0, 1))
 
     def order_of(self, A):
         cur = A
@@ -200,10 +202,9 @@ def brute_epimorphism_classes(spec, ctx, relators):
     twist = None
     if ctx.p != 2:
         # diag(e, 1) with e a non-square
-        for ei in range(1, q):
-            e = ctx.elem(ei)
+        for e in range(1, q):
             if ctx.sqrt(e) is None:
-                twist = (e, ctx.zero, ctx.zero, ctx.one)
+                twist = (e, 0, 0, 1)
                 break
     max_proper = target // 2
     survivors = []
@@ -265,13 +266,13 @@ def _mat_mul(ctx, A, B):
 
 def _is_scalar_one(ctx, M):
     """M = +-I?"""
-    return M[1] == M[2] == ctx.zero and M[0] == M[3] and ctx.mul(M[0], M[0]) == ctx.one
+    return M[1] == M[2] == 0 and M[0] == M[3] and ctx.mul(M[0], M[0]) == 1
 
 
 def companion_projective_order(ctx, x, bound):
     """Least j <= bound with M^j = +-I for M = [[x,-1],[1,0]], found by
     multiplying out the powers; None when there is none."""
-    M = (x, ctx.neg(ctx.one), ctx.one, ctx.zero)
+    M = (x, ctx.neg(1), 1, 0)
     cur = M
     for j in range(1, bound + 1):
         if _is_scalar_one(ctx, cur):
@@ -288,7 +289,140 @@ def word_is_scalar(ctx, word, A, B):
         return (d, ctx.neg(b), ctx.neg(c), a)
 
     table = {1: A, 2: B, -1: inv(A), -2: inv(B)}
-    out = (ctx.one, ctx.zero, ctx.zero, ctx.one)
+    out = (1, 0, 0, 1)
     for letter in word:
         out = _mat_mul(ctx, out, table[letter])
     return _is_scalar_one(ctx, out)
+
+
+# --- reference field on coefficient tuples ----------------------------------
+
+
+def _poly_mul_mod(a, b, modulus, p):
+    """Schoolbook product of coefficient tuples (low degree first) mod p,
+    then long division by the monic `modulus`."""
+    m = len(modulus) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for d in range(len(prod) - 1, m - 1, -1):
+        c = prod[d]
+        if c:
+            for j, mj in enumerate(modulus):
+                prod[d - m + j] = (prod[d - m + j] - c * mj) % p
+    return tuple(prod[:m]) + (0,) * (m - len(prod[:m]))
+
+
+def _poly_rem(a, f, p):
+    """Remainder of a by the monic f over F_p, both low degree first."""
+    a = list(a)
+    for d in range(len(a) - 1, len(f) - 2, -1):
+        c = a[d]
+        if c:
+            for j, fj in enumerate(f):
+                a[d - len(f) + 1 + j] = (a[d - len(f) + 1 + j] - c * fj) % p
+    return a[: len(f) - 1]
+
+
+def _monic_polys(p, degree):
+    for low in itertools.product(range(p), repeat=degree):
+        yield low + (1,)
+
+
+class ReferenceField:
+    """F_{p^m} on coefficient tuples, low degree first.
+
+    The modulus is the monic irreducible of degree m with the least
+    base-p number, found by trial division by every monic polynomial of
+    degree <= m/2.  Inverse, square root and powers are found by search or
+    repeated multiplication, with no tables.  `encode` and `decode` map
+    tuples to the library's ints (the base-p number of the coefficients)."""
+
+    def __init__(self, p, m):
+        self.p, self.m, self.q = p, m, p**m
+        factors = [g for d in range(1, m // 2 + 1) for g in _monic_polys(p, d)]
+        self.modulus = (0, 1)  # the polynomial z when m = 1
+        if m > 1:
+            # itertools.product runs through the base-p numbers in order,
+            # most significant digit (the top coefficient) first
+            self.modulus = next(
+                f
+                for f in (tuple(reversed(v)) + (1,) for v in itertools.product(range(p), repeat=m))
+                if all(any(_poly_rem(f, g, p)) for g in factors)
+            )
+        self.elements = [self.decode(i) for i in range(self.q)]
+        self.zero, self.one = self.elements[0], self.elements[1]
+
+    def decode(self, i):
+        out = []
+        for _ in range(self.m):
+            i, c = divmod(i, self.p)
+            out.append(c)
+        return tuple(out)
+
+    def encode(self, a):
+        return sum(c * self.p**i for i, c in enumerate(a))
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        if self.m == 1:
+            return (a[0] * b[0] % self.p,)
+        return _poly_mul_mod(a, b, self.modulus, self.p)
+
+    def inv(self, a):
+        for b in self.elements:
+            if self.mul(a, b) == self.one:
+                return b
+        raise DomainError("inverse of zero")
+
+    def pow(self, a, e):
+        if e < 0:
+            a, e = self.inv(a), -e
+        out = self.one
+        for _ in range(e):
+            out = self.mul(out, a)
+        return out
+
+    def frobenius(self, a):
+        return self.pow(a, self.p)
+
+    def square_roots(self, a):
+        return [r for r in self.elements if self.mul(r, r) == a]
+
+
+# --- cross-checks that only tests call --------------------------------------
+
+
+def element_order(ctx, e) -> int:
+    """Multiplicative order, via the factorization of q-1."""
+    if not e:
+        raise DomainError("order of zero is undefined")
+    order = ctx.q - 1
+    for ell in factorize(order):
+        while order % ell == 0 and ctx.pow(e, order // ell) == 1:
+            order //= ell
+    return order
+
+
+def zeta_k2_by_ideal_count(limit: int = 10**6) -> float:
+    """Slow cross-check of zeta_K(2) for K = Q(sqrt(-2)): the sum of
+    1/N(I)^2 over ideals of norm <= limit.
+
+    The ideal count of norm n is the divisor sum of the character of
+    discriminant -8, accumulated by a direct sieve; no L-series shortcut.
+    """
+    chi = {1: 1, 3: 1, 5: -1, 7: -1}
+    counts = np.zeros(limit + 1, dtype=np.int64)
+    for d in range(1, limit + 1, 2):
+        counts[d::d] += chi[d % 8]
+    n = np.arange(1, limit + 1, dtype=np.float64)
+    return float((counts[1:] / (n * n)).sum())

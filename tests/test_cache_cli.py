@@ -315,3 +315,15 @@ def test_cli_malformed_presentation_exit_code(tmp_path, capsys):
     f.write_text("1\nab\n")
     assert main(["pq", str(f), "-p", "3"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_twist_cover_above_degree_eight(capsys):
+    """q = 2^9 runs (it was refused as "extension degree 9"), and a field
+    too large for its tables is refused with the resource exit code."""
+    assert main(["twist-cover", "-n", "2", "-k", "7", "-q", "512"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "classes=1"
+    assert json.loads(out[0])["m"] == 9
+    assert main(["twist-cover", "-n", "2", "-k", "7", "-q", str(2**17)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

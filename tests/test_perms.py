@@ -36,8 +36,8 @@ def test_orbit_examples():
 
 def test_orbit_psl2_f3_transitive():
     ctx = fq_context(3, 1)
-    t = p1_action(ctx, ((1,), (1,), (0,), (1,)))
-    s = p1_action(ctx, ((0,), (2,), (1,), (0,)))
+    t = p1_action(ctx, (1, 1, 0, 1))
+    s = p1_action(ctx, (0, 2, 1, 0))
     orbit, _ = orbit_and_transversal([t, s], 3)
     assert len(orbit) == 4
 
@@ -62,8 +62,8 @@ def test_order_examples():
     assert schreier_sims_order([]) == 1
     assert schreier_sims_order([Permutation.from_cycles(3, [(0, 1, 2)])]) == 3
     ctx = fq_context(5, 1)
-    t = p1_action(ctx, ((1,), (1,), (0,), (1,)))
-    s = p1_action(ctx, ((0,), (4,), (1,), (0,)))
+    t = p1_action(ctx, (1, 1, 0, 1))
+    s = p1_action(ctx, (0, 4, 1, 0))
     assert schreier_sims_order([t, s]) == 60
 
 
@@ -71,8 +71,8 @@ def test_order_examples():
 def test_psl2_orders_prime_field(q):
     # over a prime field the standard pair generates the whole group
     ctx = fq_context(q, 1)
-    t = p1_action(ctx, (ctx.one, ctx.one, ctx.zero, ctx.one))
-    s = p1_action(ctx, (ctx.zero, ctx.neg(ctx.one), ctx.one, ctx.zero))
+    t = p1_action(ctx, (1, 1, 0, 1))
+    s = p1_action(ctx, (0, ctx.neg(1), 1, 0))
     assert schreier_sims_order([t, s]) == psl2_order(q)
     assert group_order_equals([t, s], psl2_order(q))
     # with no usable early-exit bound the comparison is exact
@@ -89,8 +89,8 @@ def test_prime_field_pair_inside_extension_field(q):
 
     p, m = prime_power_split(q)
     ctx = fq_context(p, m)
-    t = p1_action(ctx, (ctx.one, ctx.one, ctx.zero, ctx.one))
-    s = p1_action(ctx, (ctx.zero, ctx.neg(ctx.one), ctx.one, ctx.zero))
+    t = p1_action(ctx, (1, 1, 0, 1))
+    s = p1_action(ctx, (0, ctx.neg(1), 1, 0))
     mine = schreier_sims_order([t, s])
     assert mine == psl2_order(p)
     ref = PermutationGroup([SPerm(list(g.images)) for g in (t, s)]).order()

@@ -31,8 +31,8 @@ from covertower.quatlab import (
     verify_order_closure,
     verify_presentation_units,
     volume_constant,
-    zeta_k2_by_ideal_count,
 )
+from helpers_oracle import zeta_k2_by_ideal_count
 
 
 def _random_quat(rng):

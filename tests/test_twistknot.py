@@ -1,4 +1,5 @@
-import random
+import hashlib
+import json
 
 import pytest
 
@@ -99,14 +100,14 @@ def test_reducible_candidates_rejected():
         for t in ctx.elements():
             y = ctx.add(ctx.sub(ctx.mul(x, x), two), t)
             if (x, y) not in irreducible:
-                assert t == ctx.zero or y == two
+                assert t == 0 or y == two
                 continue
             A0, B0 = conjugate_to_base_field(ctx, x, y)
             inverses = mat_mul(ctx, mat_inv(ctx, A0), mat_inv(ctx, B0))
             comm = mat_mul(ctx, mat_mul(ctx, A0, B0), inverses)
             assert mat_trace(ctx, comm) != two
     for c in enumerate_epimorphisms(spec, 7):
-        assert c.t != ctx.zero and c.y != two
+        assert c.t != 0 and c.y != two
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 25, 27])
@@ -260,11 +261,50 @@ def test_conjugate_to_base_field_preserves_traces():
             A0, B0 = conjugate_to_base_field(ctx, x, y)
             assert mat_trace(ctx, A0) == x
             assert mat_trace(ctx, B0) == x
-            assert mat_det(ctx, A0) == ctx.one
-            assert mat_det(ctx, B0) == ctx.one
+            assert mat_det(ctx, A0) == 1
+            assert mat_det(ctx, B0) == 1
             assert mat_trace(ctx, mat_mul(ctx, A0, B0)) == y
 
 
 def test_prime_powers_up_to():
     qs = prime_powers_up_to(30)
     assert qs == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
+    # no cap on the degree: 2^9 and 2^10 are surveyed, not skipped
+    qs = prime_powers_up_to(1100)
+    assert 512 in qs and 1024 in qs and 3**6 in qs
+
+
+def test_enumeration_at_degree_nine():
+    """T(2,7) has one class at q = 512 = 2^9, where the trace x of order 7
+    lies in F_8 and y generates F_512; it is surjective and checked as
+    matrices like every other class."""
+    (epi,) = enumerate_epimorphisms(OrbifoldSpec(2, 7), 512)
+    ctx = fq_context(2, 9)
+    assert epi.korder == 7 and not epi.non_canonical
+    assert mat_trace(ctx, epi.A0) == epi.x == mat_trace(ctx, epi.B0)
+    assert mat_trace(ctx, mat_mul(ctx, epi.A0, epi.B0)) == epi.y
+    assert word_is_scalar(ctx, twist_relators(2, 7)[2], epi.A0, epi.B0)
+
+
+# sha256 of `twist-survey -n N -k K --qmax 100 --format json` (default proxy
+# prime, no cache), recorded with the coefficient-tuple field arithmetic
+# that the int encoding replaced: reports must stay byte-identical.
+SURVEY_DIGESTS = {
+    (4, 4): "799bb33ddadf136d60b3287d7196f43f5ffb0e704b357a729f638fbef53b2616",
+    (2, 5): "020beb3e22d4b946d080f505a7f91bd04c696a972489e992930c6f2b7d857bcc",
+    (-1, 5): "c3ae2f132c7151ac1bdc95ea0b9d26bee30dd5bb063458692d8ef5e8fa4a88ec",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(SURVEY_DIGESTS))
+def test_survey_report_is_byte_identical(n, k, tmp_path, monkeypatch, capsys):
+    from covertower import cli
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    out = tmp_path / "report.json"
+    argv = ["twist-survey", "-n", str(n), "-k", str(k), "--qmax", "100"]
+    assert cli.main(argv + ["--format", "json", "--output", str(out)]) == 0
+    capsys.readouterr()
+    data = out.read_bytes()
+    assert json.loads(data)["classes_total"] > 0
+    assert hashlib.sha256(data).hexdigest() == SURVEY_DIGESTS[n, k]
