@@ -1,6 +1,5 @@
 """Small exact number-theory helpers used across the package."""
 
-from functools import reduce
 
 # Deterministic Miller-Rabin witness set, exact for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -75,9 +74,3 @@ def prime_power_split(q: int):
         return None
     ((p, m),) = f.items()
     return p, m
-
-
-def gcd_all(values) -> int:
-    from math import gcd
-
-    return reduce(gcd, values, 0)

@@ -245,11 +245,13 @@ class FqCtx:
 
 
 class _PrimeField(FqCtx):
-    """m = 1: integer arithmetic mod p."""
+    """m = 1: integer arithmetic mod p, with tables of inverses and least
+    square roots built on first use."""
 
     def __init__(self, p):
         super().__init__(p, 1)
         self._sqrt = None
+        self._inv = None
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -264,9 +266,20 @@ class _PrimeField(FqCtx):
         return a * b % self.p
 
     def div(self, a, b):
-        if not b:
+        return a * self.inv(b) % self.p
+
+    def inv(self, a):
+        """Table-based; the table is built on first use by
+        inv[i] = -(p // i) * inv[p mod i], from p = (p // i) i + p mod i."""
+        if not a:
             raise DomainError("inverse of zero")
-        return a * pow(b, -1, self.p) % self.p
+        if self._inv is None:
+            p = self.p
+            table = [0, 1] + [0] * (p - 2)
+            for i in range(2, p):
+                table[i] = -(p // i) * table[p % i] % p
+            self._inv = table
+        return self._inv[a]
 
     def pow(self, a, e: int):
         if e < 0:

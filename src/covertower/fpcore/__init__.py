@@ -19,7 +19,7 @@ from .perms import (
     schreier_sims_order,
     transversal_word,
 )
-from .rewriting import abelianized_rewriting_matrix, betti_proxy_cover, schreier_data
+from .rewriting import abelianized_rewriting_matrix, betti_proxy_cover
 
 __all__ = [
     "AbelianInvariants",
@@ -37,7 +37,6 @@ __all__ = [
     "orbit_and_transversal",
     "parse_presentation",
     "rank_dense_mod_p",
-    "schreier_data",
     "schreier_sims_order",
     "smith_invariants",
     "sparse_rank_mod_p",

@@ -16,9 +16,10 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        imgs = tuple(int(x) for x in images)
+        imgs = tuple(map(int, images))
         n = len(imgs)
-        if sorted(imgs) != list(range(n)):
+        # n distinct images inside 0..n-1 are a bijection
+        if imgs and (min(imgs) < 0 or max(imgs) >= n) or len(set(imgs)) != n:
             raise ParameterError("images are not a bijection of 0..deg-1")
         self.images = imgs
 
@@ -71,34 +72,61 @@ def _check_degrees(gens):
     return degs.pop() if degs else None
 
 
-def orbit_and_transversal(gens, base: int):
-    """BFS orbit of `base` plus a Schreier tree.
+def schreier_tree(gens, base: int):
+    """BFS orbit of `base` and its Schreier tree, as int64 arrays.
 
-    The tree maps each non-base orbit point to (parent, generator index,
-    sign); sign +1 means gens[i] carries parent to the point, -1 means the
-    inverse does.  Generators are tried in index order, positive direction
-    before negative, so the tree (and everything built from it) is
-    deterministic.
+    Returns (orbit, parent, gen, sign): orbit[0] is `base`, and for i >= 1
+    orbit point orbit[i] is reached from parent[i-1] by gens[gen[i-1]]
+    (sign +1) or by its inverse (sign -1).  The search is level by level:
+    the images of the whole frontier, in frontier order and within a point
+    in the order g0, g0^-1, g1, g1^-1, ..., are taken at once, and a point
+    new to the orbit enters at its first occurrence.  That is the order of
+    a point-by-point BFS that tries the generators in index order,
+    positive direction before negative, so the tree (and everything built
+    from it) is deterministic.
     """
     degree = _check_degrees(gens)
     if degree is None or not 0 <= base < degree:
         raise ParameterError("base point outside the permutation degree")
-    invs = [g.inverse() for g in gens]
-    orbit = [base]
-    tree = {}
-    seen = {base}
-    qi = 0
-    while qi < len(orbit):
-        pt = orbit[qi]
-        qi += 1
-        for i, g in enumerate(gens):
-            for sign, h in ((1, g), (-1, invs[i])):
-                img = h(pt)
-                if img not in seen:
-                    seen.add(img)
-                    orbit.append(img)
-                    tree[img] = (pt, i, sign)
-    return orbit, tree
+    width = 2 * len(gens)
+    moves = np.empty((degree, width), dtype=np.int64)
+    for i, g in enumerate(gens):
+        img = np.array(g.images, dtype=np.int64)
+        moves[:, 2 * i] = img
+        moves[img, 2 * i + 1] = np.arange(degree)
+    seen = np.zeros(degree, dtype=bool)
+    seen[base] = True
+    # a point is a candidate at one level only, as every candidate is found
+    # there, so `first` (least position of each candidate) needs no reset
+    first = np.full(degree, degree * width)
+    frontier = np.array([base], dtype=np.int64)
+    orbit, parent, move = [frontier], [frontier[:0]], [frontier[:0]]
+    while True:
+        images = moves[frontier].ravel()
+        fresh = np.flatnonzero(~seen[images])
+        if not fresh.size:
+            break
+        np.minimum.at(first, images[fresh], fresh)
+        found = fresh[first[images[fresh]] == fresh]
+        parent.append(frontier[found // width])
+        move.append(found % width)
+        frontier = images[found]
+        seen[frontier] = True
+        orbit.append(frontier)
+    move = np.concatenate(move)
+    return np.concatenate(orbit), np.concatenate(parent), move // 2, 1 - 2 * (move % 2)
+
+
+def orbit_and_transversal(gens, base: int):
+    """BFS orbit of `base` (a list) plus a Schreier tree (a dict).
+
+    The tree maps each non-base orbit point to (parent, generator index,
+    sign); sign +1 means gens[i] carries parent to the point, -1 means the
+    inverse does.  The order is that of `schreier_tree`.
+    """
+    orbit, parent, gen, sign = schreier_tree(gens, base)
+    orbit = orbit.tolist()
+    return orbit, dict(zip(orbit[1:], zip(parent.tolist(), gen.tolist(), sign.tolist())))
 
 
 def transversal_word(tree, point: int):

@@ -1,5 +1,15 @@
 """Exact rank of sparse matrices over a prime field.
 
+A matrix is built from coordinate arrays: repeated positions are summed
+by one sort and `np.add.reduceat`, reduced mod p, and zero sums dropped.
+The cover matrices of `fpcore.rewriting` arrive with their power relators
+folded out.  An s-cycle of length L under a power relator s^e gives L
+equal rows +-(e/L) * (sum of the cycle's columns); when e/L is a unit mod
+p, the fold has already eliminated one column of the cycle and dropped
+those rows (rank M = #eliminated cycles + rank(R K), R the other rows and
+K the substitution), and when p divides e/L the rows are zero mod p and
+nothing is eliminated.  So a rank here is that of the folded matrix.
+
 Elimination keeps the live rows as dicts keyed by their original index and
 picks pivots by a Markowitz-style cost (fill minimization): the shortest
 row, lowest index first, then its rarest column, lowest index first.
@@ -37,39 +47,61 @@ _DENSE_DIM = 400
 _DENSE_FILL = 0.18
 # the dense elimination subtracts products of two residues in int64: below
 # 2^31 each product stays below 2^62, and two such updates fit between
-# reductions
+# reductions.  SparseMatModP sums residues in int64 and refuses the same
+# moduli, which the finish could not rank anyway.
 DENSE_MODULUS_BOUND = 2**31
 
 
 class SparseMatModP:
-    """Entries stored as {(row, col): value mod P} with zero values dropped.
+    """A matrix over F_p in coordinate form: int64 arrays `rows`, `cols`
+    and `vals`, sorted by (row, column), one entry per position, values in
+    1..p-1.
 
-    Duplicate (row, col) triples passed to the constructor are summed.
+    The constructor takes coordinate arrays (array-likes of equal length)
+    and sums the values of repeated positions mod p; positions whose sum
+    is 0 mod p are dropped.
     """
 
-    __slots__ = ("nrows", "ncols", "p", "entries")
+    __slots__ = ("nrows", "ncols", "p", "rows", "cols", "vals")
 
-    def __init__(self, nrows: int, ncols: int, p: int, triples=()):
+    def __init__(self, nrows: int, ncols: int, p: int, rows=(), cols=(), vals=()):
         if not is_prime(p):
             raise ParameterError(f"modulus {p} is not prime")
+        if p >= DENSE_MODULUS_BOUND:
+            raise ParameterError(f"modulus {p} is not below 2^31")
         if nrows < 0 or ncols < 0:
             raise ParameterError("negative matrix dimension")
+        rows, cols, vals = (np.asarray(x, dtype=np.int64).ravel() for x in (rows, cols, vals))
+        if not rows.size == cols.size == vals.size:
+            raise ParameterError("coordinate arrays of different lengths")
+        outside = (rows < 0) | (rows >= nrows) | (cols < 0) | (cols >= ncols)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ParameterError(f"entry ({rows[i]},{cols[i]}) outside {nrows}x{ncols}")
         self.nrows = nrows
         self.ncols = ncols
         self.p = p
-        acc = {}
-        for r, c, v in triples:
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise ParameterError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-            key = (r, c)
-            acc[key] = (acc.get(key, 0) + v) % p
-        self.entries = {k: v for k, v in acc.items() if v}
+        key = rows * ncols + cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        # residues first, so that a sum of k of them stays below k * p
+        sums = np.add.reduceat(vals[order] % p, starts) % p if starts.size else vals[:0]
+        key = key[starts][sums != 0]
+        self.rows, self.cols = np.divmod(key, max(ncols, 1))
+        self.vals = sums[sums != 0]
+
+    @property
+    def entries(self):
+        """The {(row, col): value} dict of the stored entries, built on
+        each access."""
+        return dict(zip(zip(self.rows.tolist(), self.cols.tolist()), self.vals.tolist()))
 
     def row_dicts(self):
-        rows = [dict() for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
+        """One {col: value} dict per row."""
+        cols, vals = self.cols.tolist(), self.vals.tolist()
+        bounds = np.searchsorted(self.rows, np.arange(self.nrows + 1)).tolist()
+        return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 def rank_dense_mod_p(a: np.ndarray, p: int) -> int:

@@ -1,9 +1,11 @@
 """Independent oracle implementations used only by the tests.
 
 Everything here recomputes results by a different route than the library:
+a point-by-point BFS for the Schreier tree and dict-built Schreier data,
 Reidemeister-Schreier rewriting coset by coset and letter by letter over
-Z, fed to sympy's Smith normal form or reduced mod P as the reference for
-the library's all-cosets walk, brute-force enumeration of matrix pairs
+Z, fed to sympy's Smith normal form or reduced mod P (and folded with
+dicts) as the reference for the library's all-cosets walk and its
+power-relator fold, brute-force enumeration of matrix pairs
 over small PSL2(F_q), multiplication-table checks for small pc-groups,
 a reference field on coefficient tuples, and a few cross-checks that only
 tests call.
@@ -16,8 +18,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from covertower.arith import factorize
-from covertower.errors import DomainError
-from covertower.fpcore.rewriting import schreier_data
+from covertower.errors import DomainError, InternalInvariantError
 from covertower.fpcore.sparse import SparseMatModP, sparse_rank_mod_p
 
 
@@ -26,6 +27,57 @@ def snf_diagonal(rows):
         return []
     m = smith_normal_form(Matrix(rows))
     return [int(m[i, i]) for i in range(min(m.shape)) if m[i, i] != 0]
+
+
+def reference_orbit_and_transversal(gens, base):
+    """Point-by-point BFS orbit of `base` and its Schreier tree
+    {point: (parent, generator index, sign)}, generators tried in index
+    order, positive before negative: the reference for the library's
+    level-by-level `schreier_tree`."""
+    invs = [g.inverse() for g in gens]
+    orbit = [base]
+    tree = {}
+    seen = {base}
+    qi = 0
+    while qi < len(orbit):
+        pt = orbit[qi]
+        qi += 1
+        for i, g in enumerate(gens):
+            for sign, h in ((1, g), (-1, invs[i])):
+                img = h(pt)
+                if img not in seen:
+                    seen.add(img)
+                    orbit.append(img)
+                    tree[img] = (pt, i, sign)
+    return orbit, tree
+
+
+def schreier_data(pres, images, point):
+    """Cosets, tree edges and Schreier-generator numbering for the
+    stabilizer of `point`, with dicts, from the reference BFS.
+
+    Returns (cosets, coset_index, tree_edges, schreier_cols) where
+    tree_edges is the set of (coset position, generator index) pairs
+    identified with the identity, and schreier_cols maps the remaining
+    pairs, in (coset, generator) order, to column numbers.
+    """
+    orbit, tree = reference_orbit_and_transversal(images, point)
+    coset_index = {pt: i for i, pt in enumerate(orbit)}
+    # A +1 tree edge (parent --g--> child) kills the Schreier generator at
+    # (parent, g); a -1 edge (parent --g^-1--> child) kills the one at
+    # (child, g).
+    tree_edges = set()
+    for child, (parent, gi, sign) in tree.items():
+        if sign > 0:
+            tree_edges.add((coset_index[parent], gi))
+        else:
+            tree_edges.add((coset_index[child], gi))
+    schreier_cols = {}
+    for ci in range(len(orbit)):
+        for gi in range(pres.ngens):
+            if (ci, gi) not in tree_edges:
+                schreier_cols[(ci, gi)] = len(schreier_cols)
+    return orbit, coset_index, tree_edges, schreier_cols
 
 
 def full_rewrite_rows(pres, images, point):
@@ -64,14 +116,57 @@ def reference_rewriting_matrix(pres, images, point, P):
     `abelianized_rewriting_matrix` returns."""
     rows, ncols = full_rewrite_rows(pres, images, point)
     triples = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
-    return SparseMatModP(len(rows), ncols, P, triples), ncols
+    return SparseMatModP(len(rows), ncols, P, *zip(*triples)), ncols
+
+
+def reference_folded_matrix(pres, images, point, P):
+    """The power-relator fold of `abelianized_rewriting_matrix`, with dicts
+    over the rows of `full_rewrite_rows`: the first pure power s^+-e of
+    each generator s is dropped, and for each s-cycle C of length L with
+    e/L != 0 mod P the lowest column of C is replaced by minus the sum of
+    C's other columns and deleted.  Returns (SparseMatModP, generator
+    count) in the library's row and column order."""
+    orbit, cindex, _tree, cols = schreier_data(pres, images, point)
+    first = {}
+    for r, rel in enumerate(pres.relators):
+        if rel and len(set(rel)) == 1:
+            first.setdefault(abs(rel[0]) - 1, r)
+    subst = {}  # pivot column -> the other columns of its cycle
+    for gi, r in first.items():
+        e, g, done = len(pres.relators[r]), images[gi], set()
+        for start in orbit:
+            if start in done:
+                continue
+            cycle = [start]
+            while g(cycle[-1]) != start:
+                cycle.append(g(cycle[-1]))
+            done.update(cycle)
+            if e % len(cycle):
+                raise InternalInvariantError("power relator moves a coset")
+            if e // len(cycle) % P:
+                ccols = sorted(cols[(cindex[c], gi)] for c in cycle if (cindex[c], gi) in cols)
+                subst[ccols[0]] = ccols[1:]
+    rows, ncols = full_rewrite_rows(pres, images, point)
+    n = len(orbit)
+    renumber = {c: i for i, c in enumerate(c for c in range(ncols) if c not in subst)}
+    triples = []
+    walked = [r for r in range(len(pres.relators)) if r not in first.values()]
+    for w, r in enumerate(walked):
+        for c in range(n):
+            acc = {}
+            for j, v in enumerate(rows[r * n + c]):
+                targets = [(o, -v) for o in subst[j]] if j in subst else [(j, v)]
+                for k, x in targets:
+                    acc[renumber[k]] = acc.get(renumber[k], 0) + x
+            triples += [(w * n + c, k, x) for k, x in acc.items() if x]
+    mat = SparseMatModP(len(walked) * n, len(renumber), P, *zip(*triples))
+    return mat, len(renumber)
 
 
 def to_dense(mat):
     """The int64 array of a SparseMatModP."""
     a = np.zeros((mat.nrows, mat.ncols), dtype=np.int64)
-    for (r, c), v in mat.entries.items():
-        a[r, c] = v
+    a[mat.rows, mat.cols] = mat.vals
     return a
 
 
@@ -79,7 +174,7 @@ def mod_p_rank_h1(pres, P):
     """dim H_1(pres; F_P) = ngens - rank of the exponent matrix over F_P."""
     rows = pres.exponent_matrix()
     entries = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
-    mat = SparseMatModP(len(rows), pres.ngens, P, entries)
+    mat = SparseMatModP(len(rows), pres.ngens, P, *zip(*entries))
     return pres.ngens - sparse_rank_mod_p(mat)
 
 

@@ -47,6 +47,11 @@ def _check_against_reference(ctx, ref, pairs, elements):
         assert ctx.add(a, b) == enc(ref.add(ta, tb)), (a, b)
         assert ctx.sub(a, b) == enc(ref.sub(ta, tb)), (a, b)
         assert ctx.mul(a, b) == enc(ref.mul(ta, tb)), (a, b)
+        if b:
+            assert ctx.div(a, b) == enc(ref.mul(ta, ref.inv(tb))), (a, b)
+        else:
+            with pytest.raises(DomainError):
+                ctx.div(a, b)
     exponents = (0, 1, 2, 3, ctx.p, ctx.q - 2, ctx.q + 3)
     for a in elements:
         ta = dec(a)
@@ -76,7 +81,7 @@ def test_arithmetic_matches_reference_exhaustively(q):
     _check_against_reference(ctx, ref, pairs, range(q))
 
 
-@pytest.mark.parametrize("q", [81, 125, 243, 256, 512])
+@pytest.mark.parametrize("q", [81, 125, 243, 256, 512, 4001])
 def test_arithmetic_matches_reference_sampled(q):
     rng = random.Random(q)
     ctx = fq_context(*prime_power_split(q))

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from sympy.combinatorics import Permutation as SPerm
 from sympy.combinatorics import PermutationGroup
@@ -14,11 +15,15 @@ from covertower.fpcore import (
     schreier_sims_order,
     transversal_word,
 )
+from helpers_oracle import reference_orbit_and_transversal
 
 
 def test_permutation_validation():
-    with pytest.raises(ParameterError):
-        Permutation([0, 0, 1])
+    for bad in ([0, 0, 1], [1, 2, 2], [0, -1, 1], [0, 1, 3], [3, 0, 1], [-1], [1]):
+        with pytest.raises(ParameterError):
+            Permutation(bad)
+    assert Permutation([]).degree == 0
+    assert Permutation(np.array([2, 0, 1])).images == (2, 0, 1)
     p = Permutation.from_cycles(4, [(0, 1, 2)])
     assert p.images == (1, 2, 0, 3)
     assert p.inverse().compose(p) == Permutation.identity(4)
@@ -40,6 +45,32 @@ def test_orbit_psl2_f3_transitive():
     s = p1_action(ctx, (0, 2, 1, 0))
     orbit, _ = orbit_and_transversal([t, s], 3)
     assert len(orbit) == 4
+
+
+def test_orbit_and_tree_match_the_pointwise_bfs():
+    """The level-by-level search gives the orbit list and tree of the
+    point-by-point BFS, on random actions with identity generators, short
+    cycles and orbits that miss points."""
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(200):
+        deg = rng.randint(1, 40)
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                gens.append(Permutation.identity(deg))
+            elif kind == 1:
+                gens.append(Permutation(rng.sample(range(deg), deg)))
+            else:
+                pts = rng.sample(range(deg), rng.randint(0, deg))
+                cycles = [pts[i : i + 3] for i in range(0, len(pts), 3)]
+                gens.append(Permutation.from_cycles(deg, cycles))
+        base = rng.randrange(deg)
+        orbit, tree = orbit_and_transversal(gens, base)
+        assert (orbit, tree) == reference_orbit_and_transversal(gens, base)
+        seen.add(len(orbit) < deg)
+    assert seen == {True, False}
 
 
 def test_transversal_words_reach_their_points():

@@ -10,12 +10,15 @@ from covertower.fpcore import (
     Presentation,
     abelianized_rewriting_matrix,
     betti_proxy_cover,
+    sparse_rank_mod_p,
 )
 from covertower.twistknot import OrbifoldSpec, enumerate_epimorphisms, twist_presentation
 from helpers_oracle import (
     mod_p_rank_h1,
     oracle_cover_betti,
+    reference_folded_matrix,
     reference_rewriting_matrix,
+    schreier_data,
     to_dense,
 )
 
@@ -25,9 +28,14 @@ P = 31991
 def test_index_one_is_the_plain_exponent_matrix():
     pres = Presentation(2, [(1, 1, 2), (2, 2)])
     images = [Permutation.identity(1)] * 2
+    ref, ref_ns = reference_rewriting_matrix(pres, images, 0, P)
+    assert ref_ns == 2
+    assert to_dense(ref).tolist() == [[2, 1], [0, 2]]
+    # b^2 is folded: its one cycle eliminates the b column, and the row of
+    # a^2 b keeps the a entry
     mat, ns = abelianized_rewriting_matrix(pres, images, 0, P)
-    assert ns == 2
-    assert to_dense(mat).tolist() == [[2, 1], [0, 2]]
+    assert ns == 1
+    assert to_dense(mat).tolist() == [[2]]
     assert betti_proxy_cover(pres, images, 0, P) == mod_p_rank_h1(pres, P)
 
 
@@ -56,9 +64,11 @@ def test_point_out_of_range():
 def test_intransitive_action_restricts_to_orbit():
     pres = Presentation(1, [(1, 1)])
     img = Permutation.from_cycles(4, [(0, 1)])  # orbit of 0 has size 2
+    cols = schreier_data(pres, [img], 0)[3]
+    assert len(cols) == 1  # Schreier formula on the size-2 orbit: 2*(1-1)+1
+    # a^2 is folded: the one 2-cycle on the orbit eliminates that generator
     mat, ns = abelianized_rewriting_matrix(pres, [img], 0, P)
-    assert ns == 1  # Schreier formula on the size-2 orbit: 2*(1-1)+1
-    assert mat.nrows == 2  # one relator rewritten at two cosets
+    assert (ns, mat.nrows) == (0, 0)
     assert betti_proxy_cover(pres, [img], 0, P) == 0  # trivial subgroup
 
 
@@ -126,11 +136,15 @@ def _relators_fix_orbit(pres, gens, base):
 
 
 def _assert_matches_reference(pres, images, point, p):
+    """The library's matrix equals the oracle's fold entry for entry, and
+    presents the same H_1 as the unfolded reference matrix."""
     mat, ns = abelianized_rewriting_matrix(pres, images, point, p)
-    ref, ref_ns = reference_rewriting_matrix(pres, images, point, p)
+    ref, ref_ns = reference_folded_matrix(pres, images, point, p)
     assert (mat.entries, mat.nrows, mat.ncols, ns) == (
         ref.entries, ref.nrows, ref.ncols, ref_ns
     )
+    full, full_ns = reference_rewriting_matrix(pres, images, point, p)
+    assert full_ns - sparse_rank_mod_p(full) == ns - sparse_rank_mod_p(mat)
 
 
 def _random_action(rng, degree, ngens):
@@ -177,7 +191,7 @@ def _trivial_relator(rng, gens):
 
 
 def test_matrix_matches_reference_on_random_actions():
-    """The walk over all cosets at once gives the reference loop's entries,
+    """The walk over all cosets at once gives the oracle fold's entries,
     shape and generator count, on transitive and intransitive actions."""
     rng = random.Random(29)
     seen = set()
@@ -208,7 +222,64 @@ def test_matrix_matches_reference_on_borel_covers(n, k, q):
 
 
 def test_relator_that_moves_a_coset_is_refused():
-    pres = Presentation(2, [(1, 1), (2,)])
     images = [Permutation.identity(3), Permutation.from_cycles(3, [(0, 1, 2)])]
-    with pytest.raises(InternalInvariantError):
-        abelianized_rewriting_matrix(pres, images, 0, P)
+    # b is folded and a b is walked
+    for rels in ([(1, 1), (2,)], [(1, 2)]):
+        with pytest.raises(InternalInvariantError):
+            abelianized_rewriting_matrix(Presentation(2, rels), images, 0, P)
+
+
+def test_power_that_is_no_multiple_of_a_cycle_length_is_refused():
+    two_cycles = Permutation.from_cycles(4, [(0, 1), (2, 3)])
+    four_cycle = Permutation.from_cycles(4, [(0, 1, 2, 3)])
+    for img, rel in ((two_cycles, (1, 1, 1)), (two_cycles, (-1,) * 3), (four_cycle, (1, 1))):
+        with pytest.raises(InternalInvariantError):
+            abelianized_rewriting_matrix(Presentation(1, [rel]), [img], 0, P)
+
+
+def _power_relators(rng, gens):
+    """Pure powers s^(+-e), e = m * order(s) with m in 1, 2, 3, 6, so that
+    e/L is 0 mod 2 or mod 3 on the cycles of length order(s); zero, one or
+    two per generator.  Returns the relators and the m of each generator's
+    first one."""
+    rels, first = [], {}
+    for i, g in enumerate(gens):
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            m = rng.choice((1, 2, 3, 6))
+            first.setdefault(i, m)
+            rels.append((rng.choice((i + 1, -i - 1)),) * (m * _order(g)))
+    return rels, first
+
+
+def test_fold_keeps_the_rank_identity():
+    """On random actions with power relators, the folded matrix equals the
+    oracle's fold and has len(columns) - rank(M) = ngens - rank(mat) for
+    the unfolded reference M, at P = 2 and 3 (where e/L can vanish) and at
+    31991: negative powers, two powers of one generator and intransitive
+    actions included."""
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(40):
+        degree = rng.randint(1, 30)
+        ngens = rng.randint(1, 3)
+        gens = _random_action(rng, degree, ngens)
+        rels, first = _power_relators(rng, gens)
+        rels += [_trivial_relator(rng, gens) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(rels)
+        point = rng.randrange(degree)
+        pres = Presentation(ngens, rels)
+        for p in (2, 3, P):
+            _assert_matches_reference(pres, gens, point, p)
+        powers = [rel[0] for rel in rels if len(set(rel)) == 1]
+        seen.update(
+            flag
+            for flag, holds in (
+                ("negative", any(x < 0 for x in powers)),
+                ("two of one", len({abs(x) for x in powers}) < len(powers)),
+                ("intransitive", len(_orbit(gens, point)) < degree),
+                ("vanishes mod 2", any(m % 2 == 0 for m in first.values())),
+                ("vanishes mod 3", any(m % 3 == 0 for m in first.values())),
+            )
+            if holds
+        )
+    assert len(seen) == 5, seen

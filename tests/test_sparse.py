@@ -9,32 +9,59 @@ from helpers_oracle import to_dense
 
 
 def test_identity_rank():
-    m = SparseMatModP(3, 3, 31991, [(i, i, 1) for i in range(3)])
+    m = SparseMatModP(3, 3, 31991, range(3), range(3), [1, 1, 1])
     assert sparse_rank_mod_p(m) == 3
 
 
 def test_zero_matrix():
-    assert sparse_rank_mod_p(SparseMatModP(4, 5, 31991, [])) == 0
+    assert sparse_rank_mod_p(SparseMatModP(4, 5, 31991)) == 0
 
 
 def test_value_vanishing_mod_p():
-    m = SparseMatModP(1, 1, 31991, [(0, 0, 31991 * 7)])
+    m = SparseMatModP(1, 1, 31991, [0], [0], [31991 * 7])
     assert m.entries == {}
     assert sparse_rank_mod_p(m) == 0
 
 
 def test_duplicate_triples_sum():
-    m = SparseMatModP(1, 1, 5, [(0, 0, 3), (0, 0, 2)])
+    m = SparseMatModP(1, 1, 5, [0, 0], [0, 0], [3, 2])
     assert m.entries == {}
-    m2 = SparseMatModP(1, 1, 5, [(0, 0, 3), (0, 0, 3)])
+    m2 = SparseMatModP(1, 1, 5, [0, 0], [0, 0], [3, 3])
     assert m2.entries == {(0, 0): 1}
 
 
 def test_bad_construction():
     with pytest.raises(ParameterError):
-        SparseMatModP(2, 2, 6, [])
+        SparseMatModP(2, 2, 6)
     with pytest.raises(ParameterError):
-        SparseMatModP(2, 2, 5, [(2, 0, 1)])
+        SparseMatModP(2, 2, 5, [2], [0], [1])
+    with pytest.raises(ParameterError):
+        SparseMatModP(2, 2, 5, [0], [-1], [1])
+    with pytest.raises(ParameterError):
+        SparseMatModP(2, 2, 5, [0, 1], [0], [1])
+    with pytest.raises(ParameterError):
+        SparseMatModP(2, 2, 4294967311)  # prime, past 2^31
+
+
+def test_construction_matches_the_triple_loop():
+    """Coordinate arrays with repeated positions and values of both signs
+    give the entries of summing each triple into a dict mod p, stored
+    sorted by (row, column)."""
+    rng = random.Random(11)
+    for p in (2, 3, 31991):
+        for _ in range(20):
+            m, n = rng.randint(1, 9), rng.randint(1, 9)
+            triples = [
+                (rng.randrange(m), rng.randrange(n), rng.randint(-3 * p, 3 * p))
+                for _ in range(rng.randint(0, 60))
+            ]
+            acc = {}
+            for r, c, v in triples:
+                acc[(r, c)] = (acc.get((r, c), 0) + v) % p
+            mat = SparseMatModP(m, n, p, *zip(*triples))
+            assert mat.entries == {k: v for k, v in acc.items() if v}
+            keys = list(zip(mat.rows.tolist(), mat.cols.tolist()))
+            assert keys == sorted(acc.keys() & mat.entries.keys())
 
 
 @pytest.mark.parametrize("p", [2, 5, 31991])
@@ -46,7 +73,7 @@ def test_random_ranks_match_numpy_reference(p):
         triples = []
         for _ in range(rng.randint(0, 3 * max(m, n))):
             triples.append((rng.randrange(m), rng.randrange(n), rng.randint(-20, 20)))
-        mat = SparseMatModP(m, n, p, triples)
+        mat = SparseMatModP(m, n, p, *zip(*triples))
         want = _reference_rank(to_dense(mat), p)
         assert sparse_rank_mod_p(mat) == want
         assert rank_dense_mod_p(to_dense(mat), p) == want
@@ -206,7 +233,7 @@ def test_sparse_elimination_on_block_diagonal(p, monkeypatch):
     monkeypatch.setattr(sparse, "rank_dense_mod_p", spy)
     for seed in range(3):
         triples, (m, n), want = _block_diagonal(p, f"{p}-{seed}")
-        mat = SparseMatModP(m, n, p, triples)
+        mat = SparseMatModP(m, n, p, *zip(*triples))
         assert len({r for r, _ in mat.entries}) > 400  # too tall to start dense
         entries = dict(mat.entries)
         blocks.clear()

@@ -36,6 +36,7 @@ from covertower.twistknot import (
 from helpers_oracle import (
     brute_epimorphism_classes,
     oracle_cover_betti,
+    schreier_data,
     word_is_scalar,
 )
 
@@ -250,8 +251,12 @@ def test_schreier_generator_count_in_cover():
     from covertower.fpcore.rewriting import abelianized_rewriting_matrix
 
     images = [p1_action(ctx, epi.A0), p1_action(ctx, epi.B0)]
+    cols = schreier_data(pres, images, 23)[3]
+    assert len(cols) == 23 + 2  # n(gens-1)+1 with n = q+1, gens = 2
+    # a and b have order 4 and no fixed point on the 24 points (23 = 3 mod 4),
+    # so each has 6 cycles of length 4, and each cycle folds one generator
     _, ns = abelianized_rewriting_matrix(pres, images, 23, 31991)
-    assert ns == 23 + 2  # n(gens-1)+1 with n = q+1, gens = 2
+    assert ns == len(cols) - 12
 
 
 def test_conjugate_to_base_field_preserves_traces():
